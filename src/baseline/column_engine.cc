@@ -9,56 +9,24 @@
 
 namespace qppt::baseline {
 
-Result<QueryResult> RunColumnAtATime(ssb::SsbData& data,
-                                     const ssb::StarQuerySpec& spec) {
-  const ColumnTable& fact = data.Columnar("lineorder");
-  size_t n = fact.num_rows();
+Result<QueryResult> RunColumnAtATime(ssb::SsbData& data, const StarQuery& q) {
+  const ColumnTable& fact = data.Columnar(q.fact_table);
 
   // Build side: one hash table per dimension.
-  std::vector<DimHash> dim_hashes;
-  for (const auto& dim : spec.dims) {
-    QPPT_ASSIGN_OR_RETURN(auto hash,
-                          BuildDimHash(data.Columnar(dim.table), dim));
-    dim_hashes.push_back(std::move(hash));
-  }
+  QPPT_ASSIGN_OR_RETURN(std::vector<DimHash> dim_hashes,
+                        BuildDimHashes(data, q));
 
-  // Fact predicates, column at a time: first predicate scans the full
-  // column into a selection vector, later ones shrink it.
-  std::vector<uint32_t> sel;
-  bool have_sel = false;
-  for (const auto& pred : spec.fact_preds) {
-    QPPT_ASSIGN_OR_RETURN(const auto* col, fact.ColumnByName(pred.column));
-    std::vector<uint32_t> next;
-    if (!have_sel) {
-      next.reserve(n / 4);
-      for (size_t i = 0; i < n; ++i) {
-        if (ssb::EvalKeyPredicate(pred.pred, Int64FromSlot((*col)[i]))) {
-          next.push_back(static_cast<uint32_t>(i));
-        }
-      }
-    } else {
-      next.reserve(sel.size());
-      for (uint32_t i : sel) {
-        if (ssb::EvalKeyPredicate(pred.pred, Int64FromSlot((*col)[i]))) {
-          next.push_back(i);
-        }
-      }
-    }
-    sel = std::move(next);
-    have_sel = true;
-  }
-  if (!have_sel) {
-    sel.resize(n);
-    for (size_t i = 0; i < n; ++i) sel[i] = static_cast<uint32_t>(i);
-  }
+  // Fact predicates, column at a time.
+  QPPT_ASSIGN_OR_RETURN(std::vector<uint32_t> sel,
+                        SelectRows(fact, q.fact_filters));
 
   // Join steps: for each dimension, materialize the gathered foreign-key
   // column (full tuple-reconstruction cost), probe the hash table, and
   // materialize the aligned payload-index column for survivors.
-  std::vector<std::vector<int64_t>> dim_payload_cols(spec.dims.size());
-  for (size_t d = 0; d < spec.dims.size(); ++d) {
+  std::vector<std::vector<int64_t>> dim_payload_cols(q.dims.size());
+  for (size_t d = 0; d < q.dims.size(); ++d) {
     QPPT_ASSIGN_OR_RETURN(const auto* fk_col,
-                          fact.ColumnByName(spec.dims[d].fact_fk));
+                          fact.ColumnByName(q.dims[d].fact_column));
     // Materialize the gathered key column for the current candidates.
     std::vector<int64_t> keys(sel.size());
     for (size_t i = 0; i < sel.size(); ++i) {
@@ -89,7 +57,7 @@ Result<QueryResult> RunColumnAtATime(ssb::SsbData& data,
   // Aggregate: gather the aggregate source columns, compute the source
   // value column, then hash-aggregate on the packed group key.
   QPPT_ASSIGN_OR_RETURN(auto bound_agg,
-                        BindScalarExpr(spec.agg_source, fact.schema()));
+                        BindScalarExpr(q.agg_source, fact.schema()));
   std::vector<const std::vector<uint64_t>*> fact_cols(
       fact.schema().num_columns());
   for (size_t c = 0; c < fact.schema().num_columns(); ++c) {
@@ -100,44 +68,24 @@ Result<QueryResult> RunColumnAtATime(ssb::SsbData& data,
     // Assemble the (tiny) row view the expression needs.
     uint64_t row[16];
     row[bound_agg.lhs] = (*fact_cols[bound_agg.lhs])[sel[i]];
-    if (spec.agg_source.op != ScalarExpr::Op::kColumn) {
+    if (q.agg_source.op != ScalarExpr::Op::kColumn) {
       row[bound_agg.rhs] = (*fact_cols[bound_agg.rhs])[sel[i]];
     }
     agg_vals[i] = Int64FromSlot(bound_agg.Eval(row));
   }
 
-  QPPT_ASSIGN_OR_RETURN(auto group_refs, ResolveGroupRefs(spec));
   std::map<uint64_t, int64_t> groups;  // ordered: ascending packed key
-  size_t g_n = spec.group_by.size();
+  size_t g_n = q.group_refs.size();
   for (size_t i = 0; i < sel.size(); ++i) {
-    int64_t codes[4];
+    int64_t codes[kMaxGroupKeys];
     for (size_t g = 0; g < g_n; ++g) {
-      const auto& ref = group_refs[g];
+      const auto& ref = q.group_refs[g];
       codes[g] =
           dim_hashes[ref.dim].Payload(dim_payload_cols[ref.dim][i])[ref.pos];
     }
     groups[PackGroupKey(codes, g_n)] += agg_vals[i];
   }
-
-  QueryResult result;
-  QPPT_ASSIGN_OR_RETURN(result.schema, ResultSchema(data, spec));
-  for (const auto& [packed, total] : groups) {
-    int64_t codes[4];
-    UnpackGroupKey(packed, g_n, codes);
-    std::vector<Value> row;
-    row.reserve(g_n + 1);
-    for (size_t g = 0; g < g_n; ++g) {
-      const ColumnDef& def = result.schema.column(g);
-      if (def.type == ValueType::kString && def.dictionary != nullptr) {
-        row.push_back(Value::Str(def.dictionary->StringOf(codes[g])));
-      } else {
-        row.push_back(Value::Int(codes[g]));
-      }
-    }
-    row.push_back(Value::Int(total));
-    result.rows.push_back(std::move(row));
-  }
-  return result;
+  return AssembleResult(q, groups);
 }
 
 }  // namespace qppt::baseline

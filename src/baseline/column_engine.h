@@ -13,16 +13,15 @@
 #ifndef QPPT_BASELINE_COLUMN_ENGINE_H_
 #define QPPT_BASELINE_COLUMN_ENGINE_H_
 
+#include "baseline/common.h"
 #include "core/plan.h"
-#include "ssb/star_spec.h"
+#include "ssb/dbgen.h"
 
 namespace qppt::baseline {
 
-// Executes `spec` column-at-a-time over the columnar copies in `data`.
-// Rows are returned in ascending group-key order (like the QPPT engine
-// before its ORDER BY post-sort).
-Result<QueryResult> RunColumnAtATime(ssb::SsbData& data,
-                                     const ssb::StarQuerySpec& spec);
+// Executes `q` column-at-a-time over the columnar copies in `data`.
+// Rows come in ascending group-key order, post-sorted per q.post_sort.
+Result<QueryResult> RunColumnAtATime(ssb::SsbData& data, const StarQuery& q);
 
 }  // namespace qppt::baseline
 

@@ -9,40 +9,34 @@
 
 namespace qppt::baseline {
 
-Result<QueryResult> RunVectorAtATime(ssb::SsbData& data,
-                                     const ssb::StarQuerySpec& spec) {
-  const ColumnTable& fact = data.Columnar("lineorder");
+Result<QueryResult> RunVectorAtATime(ssb::SsbData& data, const StarQuery& q) {
+  const ColumnTable& fact = data.Columnar(q.fact_table);
   size_t n = fact.num_rows();
 
-  std::vector<DimHash> dim_hashes;
-  for (const auto& dim : spec.dims) {
-    QPPT_ASSIGN_OR_RETURN(auto hash,
-                          BuildDimHash(data.Columnar(dim.table), dim));
-    dim_hashes.push_back(std::move(hash));
-  }
+  // Build side: one hash table per dimension.
+  QPPT_ASSIGN_OR_RETURN(std::vector<DimHash> dim_hashes,
+                        BuildDimHashes(data, q));
 
   // Resolve all columns touched per vector.
   std::vector<const std::vector<uint64_t>*> pred_cols;
-  for (const auto& pred : spec.fact_preds) {
-    QPPT_ASSIGN_OR_RETURN(const auto* col, fact.ColumnByName(pred.column));
+  for (const auto& filter : q.fact_filters) {
+    QPPT_ASSIGN_OR_RETURN(const auto* col, fact.ColumnByName(filter.column));
     pred_cols.push_back(col);
   }
   std::vector<const std::vector<uint64_t>*> fk_cols;
-  for (const auto& dim : spec.dims) {
-    QPPT_ASSIGN_OR_RETURN(const auto* col, fact.ColumnByName(dim.fact_fk));
+  for (const auto& dim : q.dims) {
+    QPPT_ASSIGN_OR_RETURN(const auto* col, fact.ColumnByName(dim.fact_column));
     fk_cols.push_back(col);
   }
   QPPT_ASSIGN_OR_RETURN(auto bound_agg,
-                        BindScalarExpr(spec.agg_source, fact.schema()));
+                        BindScalarExpr(q.agg_source, fact.schema()));
   QPPT_ASSIGN_OR_RETURN(const auto* agg_lhs_col,
-                        fact.ColumnByName(spec.agg_source.lhs));
+                        fact.ColumnByName(q.agg_source.lhs));
   const std::vector<uint64_t>* agg_rhs_col = nullptr;
-  if (spec.agg_source.op != ScalarExpr::Op::kColumn) {
-    QPPT_ASSIGN_OR_RETURN(agg_rhs_col,
-                          fact.ColumnByName(spec.agg_source.rhs));
+  if (q.agg_source.op != ScalarExpr::Op::kColumn) {
+    QPPT_ASSIGN_OR_RETURN(agg_rhs_col, fact.ColumnByName(q.agg_source.rhs));
   }
-  QPPT_ASSIGN_OR_RETURN(auto group_refs, ResolveGroupRefs(spec));
-  size_t g_n = spec.group_by.size();
+  size_t g_n = q.group_refs.size();
 
   std::map<uint64_t, int64_t> groups;
 
@@ -51,39 +45,42 @@ Result<QueryResult> RunVectorAtATime(ssb::SsbData& data,
   // of the vectorized model.
   uint32_t sel[kVectorSize];
   uint32_t next_sel[kVectorSize];
-  int64_t payloads[4][kVectorSize];
+  int64_t payloads[kMaxDims][kVectorSize];
 
   for (size_t base = 0; base < n; base += kVectorSize) {
     size_t len = std::min(kVectorSize, n - base);
-    // Predicate primitives.
+    // Predicate primitives: the first fills the selection vector, later
+    // ones shrink it.
     size_t count = 0;
-    if (spec.fact_preds.empty()) {
+    if (q.fact_filters.empty()) {
       for (size_t i = 0; i < len; ++i) sel[count++] = static_cast<uint32_t>(i);
-    } else {
-      const auto& pred0 = spec.fact_preds[0];
-      const auto& col0 = *pred_cols[0];
-      for (size_t i = 0; i < len; ++i) {
-        if (ssb::EvalKeyPredicate(pred0.pred,
-                                  Int64FromSlot(col0[base + i]))) {
-          sel[count++] = static_cast<uint32_t>(i);
-        }
-      }
-      for (size_t p = 1; p < spec.fact_preds.size(); ++p) {
-        const auto& col = *pred_cols[p];
-        size_t kept = 0;
-        for (size_t i = 0; i < count; ++i) {
-          if (ssb::EvalKeyPredicate(spec.fact_preds[p].pred,
-                                    Int64FromSlot(col[base + sel[i]]))) {
-            sel[kept++] = sel[i];
-          }
-        }
-        count = kept;
-      }
+    }
+    for (size_t p = 0; p < q.fact_filters.size(); ++p) {
+      const auto& col = *pred_cols[p];
+      std::visit(
+          [&](const auto& pred) {
+            if (p == 0) {
+              for (size_t i = 0; i < len; ++i) {
+                if (pred.Eval(Int64FromSlot(col[base + i]))) {
+                  sel[count++] = static_cast<uint32_t>(i);
+                }
+              }
+              return;
+            }
+            size_t kept = 0;
+            for (size_t i = 0; i < count; ++i) {
+              if (pred.Eval(Int64FromSlot(col[base + sel[i]]))) {
+                sel[kept++] = sel[i];
+              }
+            }
+            count = kept;
+          },
+          q.fact_filters[p].pred);
     }
     if (count == 0) continue;
 
     // Hash-probe primitives, one dimension at a time within the vector.
-    for (size_t d = 0; d < spec.dims.size(); ++d) {
+    for (size_t d = 0; d < q.dims.size(); ++d) {
       const auto& fk = *fk_cols[d];
       size_t kept = 0;
       for (size_t i = 0; i < count; ++i) {
@@ -111,34 +108,15 @@ Result<QueryResult> RunVectorAtATime(ssb::SsbData& data,
       row[bound_agg.lhs] = (*agg_lhs_col)[row_idx];
       if (agg_rhs_col != nullptr) row[bound_agg.rhs] = (*agg_rhs_col)[row_idx];
       int64_t value = Int64FromSlot(bound_agg.Eval(row));
-      int64_t codes[4];
+      int64_t codes[kMaxGroupKeys];
       for (size_t g = 0; g < g_n; ++g) {
-        const auto& ref = group_refs[g];
+        const auto& ref = q.group_refs[g];
         codes[g] = dim_hashes[ref.dim].Payload(payloads[ref.dim][i])[ref.pos];
       }
       groups[PackGroupKey(codes, g_n)] += value;
     }
   }
-
-  QueryResult result;
-  QPPT_ASSIGN_OR_RETURN(result.schema, ResultSchema(data, spec));
-  for (const auto& [packed, total] : groups) {
-    int64_t codes[4];
-    UnpackGroupKey(packed, g_n, codes);
-    std::vector<Value> row;
-    row.reserve(g_n + 1);
-    for (size_t g = 0; g < g_n; ++g) {
-      const ColumnDef& def = result.schema.column(g);
-      if (def.type == ValueType::kString && def.dictionary != nullptr) {
-        row.push_back(Value::Str(def.dictionary->StringOf(codes[g])));
-      } else {
-        row.push_back(Value::Int(codes[g]));
-      }
-    }
-    row.push_back(Value::Int(total));
-    result.rows.push_back(std::move(row));
-  }
-  return result;
+  return AssembleResult(q, groups);
 }
 
 }  // namespace qppt::baseline

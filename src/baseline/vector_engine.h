@@ -12,16 +12,16 @@
 #ifndef QPPT_BASELINE_VECTOR_ENGINE_H_
 #define QPPT_BASELINE_VECTOR_ENGINE_H_
 
+#include "baseline/common.h"
 #include "core/plan.h"
-#include "ssb/star_spec.h"
+#include "ssb/dbgen.h"
 
 namespace qppt::baseline {
 
 inline constexpr size_t kVectorSize = 1024;
 
-// Executes `spec` vector-at-a-time over the columnar copies in `data`.
-Result<QueryResult> RunVectorAtATime(ssb::SsbData& data,
-                                     const ssb::StarQuerySpec& spec);
+// Executes `q` vector-at-a-time over the columnar copies in `data`.
+Result<QueryResult> RunVectorAtATime(ssb::SsbData& data, const StarQuery& q);
 
 }  // namespace qppt::baseline
 

@@ -4,6 +4,7 @@
 #ifndef QPPT_CORE_OPERATORS_COMMON_H_
 #define QPPT_CORE_OPERATORS_COMMON_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -110,6 +111,23 @@ struct KeyPredicate {
   static KeyPredicate In(std::vector<int64_t> points) {
     return {Kind::kIn, 0, 0, 0, std::move(points)};
   }
+
+  // True if key value `v` qualifies (the scan-side twin of the index
+  // lookups above; the baseline engines filter columns with it).
+  bool Eval(int64_t v) const {
+    switch (kind) {
+      case Kind::kAll:
+        return true;
+      case Kind::kPoint:
+        return v == point;
+      case Kind::kRange:
+        return v >= lo && v <= hi;
+      case Kind::kIn:
+        return std::find(in_points.begin(), in_points.end(), v) !=
+               in_points.end();
+    }
+    return false;
+  }
 };
 
 // Residual comparison evaluated per qualifying tuple (conjunctive with the
@@ -133,6 +151,9 @@ struct Residual {
   }
   static Residual Le(std::string col, int64_t v) {
     return {std::move(col), Cmp::kLe, v, 0};
+  }
+  static Residual Gt(std::string col, int64_t v) {
+    return {std::move(col), Cmp::kGt, v, 0};
   }
   static Residual Ge(std::string col, int64_t v) {
     return {std::move(col), Cmp::kGe, v, 0};

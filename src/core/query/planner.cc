@@ -251,15 +251,7 @@ void AppendHavingStage(const QuerySpec& spec, PlanSketch* sketch) {
 // ORDER-BY strategy: free when it is an ascending prefix of the result
 // keys (the output index already iterates in that order, §3).
 void PlanOrderBy(const QuerySpec& spec, PlanSketch* sketch) {
-  bool free_order = true;
-  for (size_t i = 0; i < spec.order_by.size(); ++i) {
-    if (i >= spec.group_by.size() || spec.order_by[i].descending ||
-        spec.order_by[i].column != spec.group_by[i]) {
-      free_order = false;
-      break;
-    }
-  }
-  if (spec.order_by.empty() || free_order) {
+  if (OrderByIsFree(spec)) {
     sketch->order_note = "index order (free)";
     return;
   }
@@ -563,6 +555,16 @@ Result<PlanSketch> BuildSketch(const Database& db, const QuerySpec& spec,
 }
 
 }  // namespace
+
+bool OrderByIsFree(const QuerySpec& spec) {
+  for (size_t i = 0; i < spec.order_by.size(); ++i) {
+    if (i >= spec.group_by.size() || spec.order_by[i].descending ||
+        spec.order_by[i].column != spec.group_by[i]) {
+      return false;
+    }
+  }
+  return true;
+}
 
 Result<Plan> PlanQuery(const Database& db, const QuerySpec& spec,
                        const PlanKnobs& knobs) {

@@ -39,6 +39,11 @@ namespace qppt::query {
 Result<Plan> PlanQuery(const Database& db, const QuerySpec& spec,
                        const PlanKnobs& knobs);
 
+// True when `spec`'s ORDER BY is an ascending prefix of its group-by, so
+// rows in output-index (group-key) order already satisfy it; anything
+// else needs a post-sort. The baseline engines apply the same rule.
+bool OrderByIsFree(const QuerySpec& spec);
+
 // Renders the plan PlanQuery would emit, without executing anything:
 // one line per stage (label, physical operator, wiring) plus the
 // ORDER-BY strategy.

@@ -322,18 +322,6 @@ Result<Plan> BuildQpptPlan(const SsbData& data, const std::string& query_id,
   return query::PlanQuery(data.db, spec, knobs);
 }
 
-Status ApplyOrderBy(const std::string& query_id, QueryResult* result) {
-  if (query_id[0] != '3') {
-    return Status::OK();  // everything else is index-ordered
-  }
-  // Q3.x: order by d_year asc, revenue desc — the same sort the planner
-  // attaches to the QPPT plans, resolved by column name here too so the
-  // baseline layouts cannot drift silently (every Q3 result carries
-  // d_year and revenue columns). A sort failure must propagate: an
-  // unsorted baseline poisons every differential identity check.
-  return SortResult({{"d_year", false}, {"revenue", true}}, result);
-}
-
 Result<QueryResult> RunQppt(const SsbData& data, const std::string& query_id,
                             const PlanKnobs& knobs, PlanStats* stats) {
   // Clear defensively: a stats object reused across runs would otherwise

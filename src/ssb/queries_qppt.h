@@ -1,9 +1,10 @@
 // The 13 SSB queries on the declarative query API (§3, §5).
 //
-// Each query is a query::QuerySpec built with the fluent QueryBuilder;
-// the rule-based planner (core/query/planner.h) emits the physical plan
-// DexterDB's optimizer would, honoring the demonstrator knobs
-// (appendix A):
+// Each query is a query::QuerySpec built with the fluent QueryBuilder —
+// the only encoding of the 13 queries: the column and vector baselines
+// run the same specs (queries_baseline.h). The rule-based planner
+// (core/query/planner.h) emits the physical plan DexterDB's optimizer
+// would, honoring the demonstrator knobs (appendix A):
 //   - knobs.use_select_join: Q1.x run as a composed select-join-group
 //     (lineorder selection streamed into the date join) versus a separate
 //     selection + join-group — the Fig. 8 experiment;
@@ -56,13 +57,6 @@ Result<QueryResult> RunQppt(engine::EngineRunner& engine, const SsbData& data,
                             const std::string& query_id,
                             const PlanKnobs& knobs,
                             PlanStats* stats = nullptr);
-
-// Applies a query's ORDER BY to extracted rows (used by the baseline
-// engines so all three systems return comparable row orders; QPPT plans
-// carry their ORDER BY in Plan::result_order()). Fails when the result
-// is missing an ORDER BY column — a silently unsorted baseline would
-// corrupt every differential comparison downstream.
-Status ApplyOrderBy(const std::string& query_id, QueryResult* result);
 
 }  // namespace qppt::ssb
 

@@ -1,38 +1,73 @@
-// Cross-engine differential tests: all 13 SSB queries must produce
+// Cross-engine differential tests: all 13 SSB queries — on both base-index
+// families — and a few hand-written non-SSB star specs must produce
 // identical results on the QPPT engine, the column-at-a-time baseline,
-// and the vector-at-a-time baseline — plus a scan-based reference for a
+// and the vector-at-a-time baseline, plus a scan-based reference for a
 // subset. This is the strongest correctness check in the repository: the
-// three implementations share no execution code beyond the storage layer.
+// three implementations share only the storage layer and the QuerySpec
+// they are given. Also covers the baselines' lowering contract
+// (baseline::LowerStarQuery).
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
+#include <tuple>
+#include <vector>
 
+#include "baseline/common.h"
+#include "core/query/planner.h"
 #include "ssb/queries_baseline.h"
 #include "ssb/queries_qppt.h"
 
 namespace qppt::ssb {
 namespace {
 
+SsbConfig TestConfig(bool prefer_kiss, bool build_indexes = true) {
+  SsbConfig cfg;
+  cfg.scale_factor = 0.02;  // ~120k lineorder rows
+  cfg.seed = 11;
+  cfg.prefer_kiss = prefer_kiss;
+  cfg.build_indexes = build_indexes;
+  return cfg;
+}
+
+// The SF-0.02 instance for one base-index family, generated once per
+// binary: KISS trees (the default) or generalized prefix trees.
+SsbData& FamilyData(bool kiss) {
+  static std::unique_ptr<SsbData> instances[2];
+  std::unique_ptr<SsbData>& slot = instances[kiss ? 1 : 0];
+  if (slot == nullptr) {
+    auto generated = Generate(TestConfig(kiss));
+    EXPECT_TRUE(generated.ok()) << generated.status();
+    slot = std::move(*generated);
+  }
+  return *slot;
+}
+
+// Planner knobs for a family: prefix-tree data also gets prefix-tree
+// intermediates, so the whole plan runs on the one family.
+PlanKnobs FamilyKnobs(bool kiss) {
+  PlanKnobs knobs;
+  knobs.table_options.prefer_kiss = kiss;
+  return knobs;
+}
+
 class SsbQueriesTest : public ::testing::Test {
  protected:
-  static void SetUpTestSuite() {
-    SsbConfig cfg;
-    cfg.scale_factor = 0.02;  // ~120k lineorder rows
-    cfg.seed = 11;
-    auto data = Generate(cfg);
-    ASSERT_TRUE(data.ok());
-    data_ = data->release();
-  }
-  static void TearDownTestSuite() {
-    delete data_;
-    data_ = nullptr;
-  }
+  static void SetUpTestSuite() { data_ = &FamilyData(true); }
 
   static SsbData* data_;
 };
 
 SsbData* SsbQueriesTest::data_ = nullptr;
+
+Result<QueryResult> RunQpptSpec(const SsbData& data,
+                                const query::QuerySpec& spec,
+                                const PlanKnobs& knobs) {
+  QPPT_ASSIGN_OR_RETURN(Plan plan, query::PlanQuery(data.db, spec, knobs));
+  ExecContext ctx(&data.db, knobs);
+  return plan.Execute(&ctx);
+}
 
 void ExpectSameResults(const QueryResult& a, const QueryResult& b,
                        const std::string& label) {
@@ -48,17 +83,18 @@ void ExpectSameResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-class SsbQueryParam : public SsbQueriesTest,
-                      public ::testing::WithParamInterface<std::string> {};
+using FamilyAndId = std::tuple<bool, std::string>;  // (kiss, query id)
+
+class SsbQueryParam : public ::testing::TestWithParam<FamilyAndId> {};
 
 TEST_P(SsbQueryParam, ThreeEnginesAgree) {
-  const std::string& id = GetParam();
-  PlanKnobs knobs;
-  auto qppt_result = RunQppt(*data_, id, knobs);
+  const auto& [kiss, id] = GetParam();
+  SsbData& data = FamilyData(kiss);
+  auto qppt_result = RunQppt(data, id, FamilyKnobs(kiss));
   ASSERT_TRUE(qppt_result.ok()) << qppt_result.status();
-  auto column_result = RunColumn(*data_, id);
+  auto column_result = RunColumn(data, id);
   ASSERT_TRUE(column_result.ok()) << column_result.status();
-  auto vector_result = RunVector(*data_, id);
+  auto vector_result = RunVector(data, id);
   ASSERT_TRUE(vector_result.ok()) << vector_result.status();
 
   ExpectSameResults(*qppt_result, *column_result, "qppt vs column, Q" + id);
@@ -71,13 +107,164 @@ TEST_P(SsbQueryParam, ThreeEnginesAgree) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllQueries, SsbQueryParam,
-                         ::testing::ValuesIn(AllQueryIds()),
-                         [](const ::testing::TestParamInfo<std::string>& i) {
-                           std::string name = "Q" + i.param;
-                           name[name.find('.')] = '_';
-                           return name;
-                         });
+std::string FamilyLabel(bool kiss) { return kiss ? "Kiss" : "Prefix"; }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllQueries, SsbQueryParam,
+    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(AllQueryIds())),
+    [](const ::testing::TestParamInfo<FamilyAndId>& i) {
+      std::string name = FamilyLabel(std::get<0>(i.param)) + "_Q" +
+                         std::get<1>(i.param);
+      name[name.find('.')] = '_';
+      return name;
+    });
+
+// ---- non-SSB star specs through all three engines ---------------------------
+//
+// Between them the shapes cover what the 13 SSB queries never use: the
+// Ne/Gt/Ge/Le residuals on the fact and on a dimension, IN and range
+// predicates on dimensions, a probe-only dimension, ORDER BY the
+// aggregate descending, and ORDER BYs that need a post-sort as well as
+// one that is free.
+struct StarShape {
+  std::string name;
+  query::QuerySpec (*build)(const SsbData&);
+};
+
+void PrintTo(const StarShape& shape, std::ostream* os) { *os << shape.name; }
+
+// Fact residuals of every untested kind plus IN and Le/Ge on the date
+// dimension; ORDER BY the aggregate descending.
+query::QuerySpec FactResidualShape(const SsbData&) {
+  query::QueryBuilder b("shape.fact_residuals");
+  b.From("lineorder")
+      .FactIndex("lo_discount")
+      .FactSlot("lo_sel")
+      .FactColumns({"lo_orderdate", "lo_extendedprice", "lo_discount"})
+      .Where(KeyPredicate::Range(2, 8))
+      .Filter(Residual::Ne("lo_quantity", 30))
+      .Filter(Residual::Gt("lo_quantity", 5))
+      .Filter(Residual::Le("lo_quantity", 45))
+      .Filter(Residual::Ge("lo_discount", 3));
+  b.Dim("date")
+      .Select("d_year", KeyPredicate::In({1993, 1995, 1997}))
+      .Filter(Residual::Le("d_weeknuminyear", 40))
+      .Filter(Residual::Ge("d_weeknuminyear", 3))
+      .Key("d_datekey")
+      .ProbeFrom("lo_orderdate")
+      .Carry({"d_year"});
+  b.GroupBy({"d_year"})
+      .Aggregate(AggFn::kSum,
+                 ScalarExpr::Mul("lo_extendedprice", "lo_discount"),
+                 "revenue")
+      .OrderByDesc("revenue");
+  return std::move(b).Build();
+}
+
+// Ne/Gt residuals on dimensions, a range on part, and a probe-only date
+// dimension; ORDER BY the second group key (a post-sort).
+query::QuerySpec DimResidualShape(const SsbData& data) {
+  query::QueryBuilder b("shape.dim_residuals");
+  b.From("lineorder")
+      .FactIndex("lo_partkey")
+      .FactColumns({"lo_suppkey", "lo_orderdate", "lo_revenue"});
+  b.Dim("part")
+      .Select("p_category",
+              KeyPredicate::Range(data.CategoryCode("MFGR#12"),
+                                  data.CategoryCode("MFGR#14")))
+      .Filter(Residual::Ne("p_brand1", data.BrandCode("MFGR#1221")))
+      .Key("p_partkey")
+      .ProbeFrom("lo_partkey");
+  b.Dim("supp")
+      .Select("s_region", KeyPredicate::Point(data.RegionCode("AMERICA")))
+      .Filter(Residual::Ne("s_nation", data.NationCode("UNITED STATES")))
+      .Filter(Residual::Gt("s_city", data.CityCode("ARGENTINA4")))
+      .Key("s_suppkey")
+      .ProbeFrom("lo_suppkey")
+      .Carry({"s_nation"});
+  b.Dim("date").Probe("d_datekey").ProbeFrom("lo_orderdate").Carry(
+      {"d_year"});
+  b.GroupBy({"d_year", "s_nation"})
+      .Aggregate(AggFn::kSum, ScalarExpr::Column("lo_revenue"), "revenue")
+      .OrderBy("s_nation");
+  return std::move(b).Build();
+}
+
+// A filtered lo_custkey fact side, IN plus Le/Ge on customer, ranges on
+// part and date; a free (ascending group-prefix) ORDER BY.
+query::QuerySpec WideRangeShape(const SsbData& data) {
+  query::QueryBuilder b("shape.wide_ranges");
+  b.From("lineorder")
+      .FactIndex("lo_custkey")
+      .FactColumns({"lo_custkey", "lo_partkey", "lo_orderdate",
+                    "lo_revenue", "lo_supplycost"})
+      .Where(KeyPredicate::Range(1, 400));
+  b.Dim("cust")
+      .Select("c_region", KeyPredicate::In({data.RegionCode("AMERICA"),
+                                            data.RegionCode("EUROPE")}))
+      .Filter(Residual::Ge("c_nation", data.NationCode("BRAZIL")))
+      .Filter(Residual::Le("c_nation", data.NationCode("RUSSIA")))
+      .Key("c_custkey")
+      .ProbeFrom("lo_custkey")
+      .Carry({"c_region"});
+  b.Dim("part")
+      .Select("p_mfgr", KeyPredicate::Range(data.MfgrCode("MFGR#1"),
+                                            data.MfgrCode("MFGR#3")))
+      .Key("p_partkey")
+      .ProbeFrom("lo_partkey");
+  b.Dim("date")
+      .Select("d_yearmonthnum", KeyPredicate::Range(199401, 199612))
+      .Key("d_datekey")
+      .ProbeFrom("lo_orderdate")
+      .Carry({"d_year"});
+  b.GroupBy({"c_region", "d_year"})
+      .Aggregate(AggFn::kSum, ScalarExpr::Sub("lo_revenue", "lo_supplycost"),
+                 "profit")
+      .OrderBy("c_region");
+  return std::move(b).Build();
+}
+
+const StarShape kShapes[] = {{"FactResiduals", FactResidualShape},
+                             {"DimResiduals", DimResidualShape},
+                             {"WideRanges", WideRangeShape}};
+
+using FamilyAndShape = std::tuple<bool, StarShape>;
+
+class StarShapeParam : public ::testing::TestWithParam<FamilyAndShape> {};
+
+TEST_P(StarShapeParam, ThreeEnginesAgree) {
+  const auto& [kiss, shape] = GetParam();
+  SsbData& data = FamilyData(kiss);
+  query::QuerySpec spec = shape.build(data);
+  auto qppt_result = RunQpptSpec(data, spec, FamilyKnobs(kiss));
+  ASSERT_TRUE(qppt_result.ok()) << qppt_result.status();
+  auto column_result = RunColumn(data, spec);
+  ASSERT_TRUE(column_result.ok()) << column_result.status();
+  auto vector_result = RunVector(data, spec);
+  ASSERT_TRUE(vector_result.ok()) << vector_result.status();
+
+  EXPECT_GT(qppt_result->rows.size(), 1u) << shape.name;
+  ExpectSameResults(*qppt_result, *column_result,
+                    "qppt vs column, " + shape.name);
+  ExpectSameResults(*qppt_result, *vector_result,
+                    "qppt vs vector, " + shape.name);
+  // The ORDER BY holds, so a post-sort was applied, not skipped.
+  std::vector<ResultOrderKey> order;
+  for (const query::OrderKey& key : spec.order_by) {
+    order.push_back({key.column, key.descending});
+  }
+  QueryResult resorted = *column_result;
+  ASSERT_TRUE(SortResult(order, &resorted).ok());
+  ExpectSameResults(resorted, *column_result, "ORDER BY, " + shape.name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonSsbShapes, StarShapeParam,
+    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(kShapes)),
+    [](const ::testing::TestParamInfo<FamilyAndShape>& i) {
+      return FamilyLabel(std::get<0>(i.param)) + "_" +
+             std::get<1>(i.param).name;
+    });
 
 TEST_F(SsbQueriesTest, Q11MatchesScanReference) {
   // Full-scan reference for Q1.1 computed directly over the row store.
@@ -197,18 +384,238 @@ TEST_F(SsbQueriesTest, UnknownQueryIdFails) {
   EXPECT_TRUE(RunVector(*data_, "9.9").status().IsInvalidArgument());
 }
 
-// Regression (qppt-unchecked-status finding): ApplyOrderBy used to drop
-// the SortResult error on the floor, so a Q3.x baseline result missing
-// an ORDER BY column came back silently UNSORTED — poisoning every
-// differential comparison instead of failing loudly.
-TEST(ApplyOrderByTest, MissingOrderColumnPropagatesError) {
-  QueryResult result;
-  result.schema = Schema({{"unrelated", ValueType::kInt64, nullptr}});
-  Status st = ApplyOrderBy("3.1", &result);
-  ASSERT_FALSE(st.ok());
-  EXPECT_TRUE(st.IsNotFound() || st.IsInvalidArgument()) << st;
-  // Non-Q3 ids never sort, so they cannot fail on the missing column.
-  EXPECT_TRUE(ApplyOrderBy("1.1", &result).ok());
+// ---- the lowering's contract ------------------------------------------------
+
+// A valid two-dimension star to mutate into unsupported shapes.
+query::QueryBuilder BaseShape(const SsbData& data) {
+  query::QueryBuilder b("shape.base");
+  b.From("lineorder")
+      .FactIndex("lo_custkey")
+      .FactColumns({"lo_suppkey", "lo_orderdate", "lo_revenue"});
+  b.Dim("cust")
+      .Select("c_region", KeyPredicate::Point(data.RegionCode("ASIA")))
+      .Key("c_custkey")
+      .ProbeFrom("lo_custkey")
+      .Carry({"c_nation"});
+  b.Dim("date").Probe("d_datekey").ProbeFrom("lo_orderdate").Carry(
+      {"d_year"});
+  return b;
+}
+
+void ExpectBaselinesReject(const query::QuerySpec& spec,
+                           const std::string& label) {
+  auto column = RunColumn(FamilyData(true), spec);
+  auto vector = RunVector(FamilyData(true), spec);
+  EXPECT_TRUE(column.status().IsInvalidArgument())
+      << label << ": " << column.status();
+  EXPECT_TRUE(vector.status().IsInvalidArgument())
+      << label << ": " << vector.status();
+}
+
+TEST_F(SsbQueriesTest, BaseShapeRuns) {
+  query::QueryBuilder b = BaseShape(*data_);
+  b.GroupBy({"d_year", "c_nation"})
+      .Aggregate(AggFn::kSum, ScalarExpr::Column("lo_revenue"), "revenue");
+  query::QuerySpec spec = std::move(b).Build();
+  auto qppt_result = RunQpptSpec(*data_, spec, PlanKnobs{});
+  ASSERT_TRUE(qppt_result.ok()) << qppt_result.status();
+  auto column_result = RunColumn(*data_, spec);
+  ASSERT_TRUE(column_result.ok()) << column_result.status();
+  EXPECT_GT(column_result->rows.size(), 1u);
+  ExpectSameResults(*qppt_result, *column_result, "base shape");
+}
+
+TEST_F(SsbQueriesTest, LoweringRejectsUnsupportedAggregates) {
+  const ScalarExpr revenue = ScalarExpr::Column("lo_revenue");
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year"})
+        .Aggregate(AggFn::kSum, revenue, "revenue")
+        .Having(Residual::Gt("revenue", 0));
+    ExpectBaselinesReject(std::move(b).Build(), "HAVING");
+  }
+  for (AggFn fn : {AggFn::kCount, AggFn::kMin, AggFn::kMax}) {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year"}).Aggregate(fn, revenue, "agg");
+    ExpectBaselinesReject(std::move(b).Build(), std::string(AggFnToString(fn)));
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year"})
+        .Aggregate(AggFn::kSum, revenue, "revenue")
+        .Aggregate(AggFn::kSum, ScalarExpr::Column("lo_suppkey"), "keys");
+    ExpectBaselinesReject(std::move(b).Build(), "two SUM terms");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year"});
+    ExpectBaselinesReject(std::move(b).Build(), "no aggregate");
+  }
+}
+
+TEST_F(SsbQueriesTest, LoweringRejectsMalformedSpecs) {
+  const ScalarExpr revenue = ScalarExpr::Column("lo_revenue");
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year"})
+        .Aggregate(AggFn::kSum, ScalarExpr::Column("lo_bogus"), "x");
+    ExpectBaselinesReject(std::move(b).Build(), "unknown aggregate column");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Filter(Residual::Eq("lo_bogus", 1));
+    b.GroupBy({"d_year"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "unknown fact residual");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Dim("supp").Probe("s_suppkey").ProbeFrom("lo_suppkey").Carry(
+        {"s_bogus"});
+    b.GroupBy({"s_bogus"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "unknown carried column");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.GroupBy({"d_year", "lo_suppkey"})
+        .Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "fact column as group key");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Dim("supp")
+        .Select("s_region", KeyPredicate::Point(0))
+        .Filter(Residual::Eq("c_city", 1))  // a customer column
+        .Key("s_suppkey")
+        .ProbeFrom("lo_suppkey");
+    b.GroupBy({"d_year"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "residual on another table");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Dim("supp")
+        .Probe("s_suppkey")
+        .Filter(Residual::Ne("s_region", 0))
+        .ProbeFrom("lo_suppkey");
+    b.GroupBy({"d_year"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "filtered probe-only dim");
+  }
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Dim("supp")
+        .Select("s_region", KeyPredicate::Point(0))
+        .Probe("s_suppkey")
+        .Key("s_suppkey")
+        .ProbeFrom("lo_suppkey");
+    b.GroupBy({"d_year"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "two access paths");
+  }
+}
+
+TEST(LowerStarQueryTest, AmbiguousColumnRejected) {
+  auto t1 = std::make_unique<RowTable>(
+      Schema({{"k", ValueType::kInt64, nullptr},
+              {"v", ValueType::kInt64, nullptr}}),
+      "t1");
+  auto t2 = std::make_unique<RowTable>(
+      Schema({{"k", ValueType::kInt64, nullptr}}), "t2");
+  Database db;
+  ASSERT_TRUE(db.AddTable(std::move(t1)).ok());
+  ASSERT_TRUE(db.AddTable(std::move(t2)).ok());
+  query::QueryBuilder b("ambiguous");
+  b.From("t1").FactIndex("k");
+  b.Aggregate(AggFn::kSum, ScalarExpr::Column("v"), "total");
+  auto lowered = baseline::LowerStarQuery(db, std::move(b).Build());
+  EXPECT_TRUE(lowered.status().IsInvalidArgument()) << lowered.status();
+}
+
+// The baselines' fixed-width scratch arrays: a fifth dimension or group
+// key is rejected up front, and a group key that does not fit a 16-bit
+// packed code is rejected at the hash build instead of merging groups.
+TEST_F(SsbQueriesTest, LoweringRejectsOverwideQueries) {
+  const ScalarExpr revenue = ScalarExpr::Column("lo_revenue");
+  {
+    query::QueryBuilder b = BaseShape(*data_);
+    b.Dim("supp").Probe("s_suppkey").ProbeFrom("lo_suppkey");
+    b.Dim("part").Probe("p_partkey").ProbeFrom("lo_partkey");
+    b.Dim("supp2").Probe("s_suppkey").ProbeFrom("lo_suppkey");
+    b.GroupBy({"d_year"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "five dimensions");
+  }
+  {
+    query::QueryBuilder b("shape.five_keys");
+    b.From("lineorder")
+        .FactIndex("lo_custkey")
+        .FactColumns({"lo_suppkey", "lo_revenue"});
+    b.Dim("cust")
+        .Select("c_region", KeyPredicate::All())
+        .Key("c_custkey")
+        .ProbeFrom("lo_custkey")
+        .Carry({"c_region", "c_nation", "c_city"});
+    b.Dim("supp")
+        .Select("s_region", KeyPredicate::All())
+        .Key("s_suppkey")
+        .ProbeFrom("lo_suppkey")
+        .Carry({"s_region", "s_nation"});
+    b.GroupBy({"c_region", "c_nation", "c_city", "s_region", "s_nation"})
+        .Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "five group keys");
+  }
+  {
+    // d_yearmonthnum (e.g. 199401) does not fit 16 bits.
+    query::QueryBuilder b("shape.wide_code");
+    b.From("lineorder")
+        .FactIndex("lo_custkey")
+        .FactColumns({"lo_orderdate", "lo_revenue"});
+    b.Dim("date")
+        .Select("d_year", KeyPredicate::Point(1994))
+        .Key("d_datekey")
+        .ProbeFrom("lo_orderdate")
+        .Carry({"d_yearmonthnum"});
+    b.GroupBy({"d_yearmonthnum"}).Aggregate(AggFn::kSum, revenue, "revenue");
+    ExpectBaselinesReject(std::move(b).Build(), "group code >= 2^16");
+  }
+}
+
+// A baseline result missing an ORDER BY column fails loudly; it is never
+// returned unsorted (an unsorted baseline would poison every
+// differential comparison downstream).
+TEST_F(SsbQueriesTest, MissingOrderColumnFails) {
+  query::QueryBuilder b = BaseShape(*data_);
+  b.GroupBy({"d_year", "c_nation"})
+      .Aggregate(AggFn::kSum, ScalarExpr::Column("lo_revenue"), "revenue")
+      .OrderBy("d_year")
+      .OrderByDesc("not_a_result_column");
+  ExpectBaselinesReject(std::move(b).Build(), "ORDER BY missing column");
+}
+
+// The column oracle runs on an index-free twin (perfbench): the lowering
+// must not need base indexes and must give the same rows.
+TEST_F(SsbQueriesTest, IndexFreeTwinMatchesIndexedData) {
+  auto twin = Generate(TestConfig(/*prefer_kiss=*/true,
+                                  /*build_indexes=*/false));
+  ASSERT_TRUE(twin.ok()) << twin.status();
+  ASSERT_TRUE((*twin)->db.index_names().empty());
+  for (const std::string& id : AllQueryIds()) {
+    auto on_twin = RunColumn(**twin, id);
+    ASSERT_TRUE(on_twin.ok()) << id << ": " << on_twin.status();
+    auto on_indexed = RunColumn(*data_, id);
+    ASSERT_TRUE(on_indexed.ok()) << id << ": " << on_indexed.status();
+    ExpectSameResults(*on_indexed, *on_twin, "index-free twin, Q" + id);
+  }
+}
+
+// LowerStarQuery reads an index name as the column of the same name;
+// dbgen keeps to that convention for every base index it builds.
+TEST_F(SsbQueriesTest, BaseIndexesAreNamedAfterTheirKeyColumn) {
+  for (bool kiss : {true, false}) {
+    const Database& db = FamilyData(kiss).db;
+    ASSERT_FALSE(db.index_names().empty());
+    for (const std::string& name : db.index_names()) {
+      const BaseIndex* index = db.index(name).value();
+      EXPECT_EQ(index->key_column_names(), std::vector<std::string>{name})
+          << "index '" << name << "'";
+    }
+  }
 }
 
 }  // namespace
