@@ -1,11 +1,39 @@
 #include "core/operators/common.h"
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace qppt {
+
+namespace {
+
+// Calls fn(value) for every value of `index` whose key matches `pred`.
+template <typename Fn>
+void ForEachKeyMatch(const BaseIndex& index, const KeyPredicate& pred,
+                     Fn&& fn) {
+  switch (pred.kind) {
+    case KeyPredicate::Kind::kPoint:
+      index.ForEachMatch(SlotFromInt64(pred.point), fn);
+      break;
+    case KeyPredicate::Kind::kRange:
+      index.ForEachInRange(SlotFromInt64(pred.lo), SlotFromInt64(pred.hi),
+                           fn);
+      break;
+    case KeyPredicate::Kind::kIn:
+      for (int64_t point : pred.in_points) {
+        index.ForEachMatch(SlotFromInt64(point), fn);
+      }
+      break;
+    case KeyPredicate::Kind::kAll:
+      index.ForEachValue(fn);
+      break;
+  }
+}
+
+}  // namespace
 
 Result<BoundSide> BoundSide::Bind(const ExecContext& ctx, const SideRef& ref,
                                   const std::vector<std::string>& columns) {
@@ -92,16 +120,14 @@ Result<std::vector<BoundAssist>> BindAssists(
   return bound_assists;
 }
 
-CandidatePipeline::CandidatePipeline(std::vector<BoundAssist> assists,
-                                     size_t row_width, IndexedTable* output,
-                                     std::vector<size_t> key_positions,
-                                     size_t buffer_rows)
-    : assists_(std::move(assists)),
-      width_(row_width),
+CandidatePipeline::CandidatePipeline(const PipelineShape& shape,
+                                     IndexedTable* output)
+    : assists_(shape.assists),
+      width_(shape.row_width),
       output_(output),
-      key_positions_(std::move(key_positions)),
+      key_positions_(shape.key_positions),
       key_slots_(key_positions_.size()),
-      buffer_rows_(buffer_rows < 1 ? 1 : buffer_rows) {
+      buffer_rows_(shape.buffer_rows < 1 ? 1 : shape.buffer_rows) {
   candidates_.reserve(buffer_rows_ * width_);
 }
 
@@ -207,6 +233,36 @@ void CandidatePipeline::Process() {
   }
   index_ms_ += phase.ElapsedMs();
   candidates_.clear();
+}
+
+uint64_t SelectionScan::split_tuples() const {
+  const bool splittable = index_.kiss() != nullptr &&
+                          (pred_.kind == KeyPredicate::Kind::kRange ||
+                           pred_.kind == KeyPredicate::Kind::kAll);
+  return splittable ? index_.num_rows() : 0;
+}
+
+size_t SelectionScan::operator()(const engine::MorselSite* site,
+                                 std::vector<ScanSink>& sinks) const {
+  if (site == nullptr) {
+    ScanSink* sink = &sinks[0];
+    ForEachKeyMatch(index_, pred_, [&](uint64_t value) {
+      sink->cancel.Tick();
+      Stage(sink, value);
+    });
+    return 0;
+  }
+  uint32_t lo = 0;
+  uint32_t hi = std::numeric_limits<uint32_t>::max();
+  if (pred_.kind == KeyPredicate::Kind::kRange) {
+    lo = BaseIndex::KissKeyOf(SlotFromInt64(pred_.lo));
+    hi = BaseIndex::KissKeyOf(SlotFromInt64(pred_.hi));
+  }
+  return engine::RunKissValueMorsels(
+      *site, *index_.kiss(), lo, hi, [&](size_t w, uint64_t value) {
+        sinks[w].cancel.Tick();
+        Stage(&sinks[w], value);
+      });
 }
 
 void FillOutputStats(const IndexedTable& table, OperatorStats* stats) {

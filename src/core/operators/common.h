@@ -1,5 +1,6 @@
 // Shared building blocks for QPPT plan operators: input-side references,
-// bound column access, and predicate descriptors.
+// bound column access, predicate descriptors, the candidate pipeline, and
+// RunScan — the one serial-or-parallel runner of the scan operators.
 
 #ifndef QPPT_CORE_OPERATORS_COMMON_H_
 #define QPPT_CORE_OPERATORS_COMMON_H_
@@ -13,6 +14,9 @@
 #include "core/base_index.h"
 #include "core/indexed_table.h"
 #include "core/plan.h"
+#include "core/stats.h"
+#include "engine/parallel_ops.h"
+#include "util/cancel.h"
 #include "util/status.h"
 
 namespace qppt {
@@ -237,15 +241,23 @@ Result<std::vector<BoundAssist>> BindAssists(
     const ExecContext& ctx, const std::vector<AssistSpec>& assists,
     std::vector<ColumnDef>* defs);
 
+// What a CandidatePipeline is built from, apart from its output table:
+// the bound assists (none for a plain selection), the assembled row
+// width, the output key positions and the joinbuffer size.
+struct PipelineShape {
+  std::vector<BoundAssist> assists;
+  size_t row_width = 0;
+  std::vector<size_t> key_positions;  // empty = plain output
+  size_t buffer_rows = 1;
+};
+
 // Stages assembled candidate rows, pushes them through the assist probe
 // pipeline in joinbuffer-sized batches (§2.3 batch lookups), and inserts
 // survivors into the output index (aggregating on insert when the output
 // table aggregates).
 class CandidatePipeline {
  public:
-  CandidatePipeline(std::vector<BoundAssist> assists, size_t row_width,
-                    IndexedTable* output, std::vector<size_t> key_positions,
-                    size_t buffer_rows);
+  CandidatePipeline(const PipelineShape& shape, IndexedTable* output);
 
   // Reserves one zeroed assembled row; the caller fills the main-side
   // columns, then calls MaybeProcess() (which may invalidate the pointer).
@@ -275,6 +287,108 @@ class CandidatePipeline {
   std::vector<KeyBuf> prefix_keys_;
   double materialize_ms_ = 0;
   double index_ms_ = 0;
+};
+
+// ---- the scan runner --------------------------------------------------------
+
+// One worker's end of an operator scan (RunScan): the candidate pipeline
+// feeding that worker's output table, and the stride-based cancellation
+// poll the scan ticks once per enumerated tuple. Cache-line aligned, so
+// neighbouring workers' countdowns never share a line.
+struct alignas(64) ScanSink {
+  ScanSink(const PipelineShape& shape, IndexedTable* output,
+           const CancelToken* token)
+      : pipeline(shape, output), cancel(token) {}
+
+  CandidatePipeline pipeline;
+  CancelTicker cancel;
+};
+
+// Runs the input scan of a scan operator (selection, select-join, star
+// join) into `output`, serially or as morsels on the query's worker pool.
+// `scan(site, sinks)` is the operator's scan. Called with site == nullptr
+// it scans its whole input into sinks[0] and returns 0; otherwise it
+// hands its morsel body to an engine driver on *site — worker w feeding
+// sinks[w] — and returns the driver's morsel count. RunScan forks when
+// the context has a pool, knobs().threads > 1, and `split_tuples` (the
+// size of the input the scan splits; 0 = it cannot split) reaches
+// engine::kMinParallelInputTuples; each worker then fills a private
+// partial output, merged into `output` at the end. Both runs poll the
+// query's cancel token: the sinks' tickers every kCancelStride tuples,
+// the site (parallel only) before every morsel and merge shard. Fills
+// the scan fields of `stats`: morsels, materialize_ms and index_ms (of
+// the slowest worker — the critical path, comparable to total_ms),
+// merge_ms and merge_morsels.
+template <typename Scan>
+void RunScan(const ExecContext& ctx, const std::string& label,
+             const PipelineShape& shape, uint64_t split_tuples,
+             IndexedTable* output, OperatorStats* stats, Scan&& scan) {
+  std::vector<ScanSink> sinks;
+  auto finish = [&] {
+    for (ScanSink& sink : sinks) {
+      sink.pipeline.Finish();
+      stats->materialize_ms =
+          std::max(stats->materialize_ms, sink.pipeline.materialize_ms());
+      stats->index_ms = std::max(stats->index_ms, sink.pipeline.index_ms());
+    }
+  };
+  if (ctx.worker_pool() == nullptr || ctx.knobs().threads <= 1 ||
+      split_tuples < engine::kMinParallelInputTuples) {
+    sinks.emplace_back(shape, output, ctx.cancel());
+    scan(nullptr, sinks);
+    finish();
+    return;
+  }
+  engine::MorselSite site(ctx, label);
+  const size_t workers = site.pool->num_workers();
+  engine::PartialOutputs partials(*output, workers);
+  sinks.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    sinks.emplace_back(shape, partials.worker(w), ctx.cancel());
+  }
+  stats->morsels = scan(&site, sinks);
+  finish();
+  Timer merge;
+  stats->merge_morsels = partials.MergeInto(site, output);
+  stats->merge_ms = merge.ElapsedMs();
+}
+
+// The selection scan of a base index, shared by SelectionOp and
+// SelectJoinOp (§4.1, §4.3): each value matching the key predicate that
+// is visible at the query snapshot and passes the residuals becomes a
+// candidate row holding `side`'s columns. A KISS index under a range or
+// all predicate splits into value morsels (engine::RunKissValueMorsels);
+// other predicates and prefix-tree indexes scan whole. Pass the object
+// itself to RunScan as the scan.
+class SelectionScan {
+ public:
+  SelectionScan(const BaseIndex& index, const KeyPredicate& pred,
+                const BoundSide& side,
+                const std::vector<BoundResidual>& residuals)
+      : index_(index), pred_(pred), side_(side), residuals_(residuals) {}
+
+  // RunScan's split_tuples: the index size when the scan can split.
+  uint64_t split_tuples() const;
+
+  // Stages `value` into `sink` if it qualifies (the caller ticks).
+  void Stage(ScanSink* sink, uint64_t value) const {
+    if (!side_.Visible(value)) return;  // MVCC snapshot filter
+    for (const auto& r : residuals_) {
+      if (!r.Eval(value)) return;
+    }
+    uint64_t* row = sink->pipeline.AddRow();
+    side_.Fill(value, row);
+    sink->pipeline.MaybeProcess();
+  }
+
+  size_t operator()(const engine::MorselSite* site,
+                    std::vector<ScanSink>& sinks) const;
+
+ private:
+  const BaseIndex& index_;
+  const KeyPredicate& pred_;
+  const BoundSide& side_;
+  const std::vector<BoundResidual>& residuals_;
 };
 
 }  // namespace qppt

@@ -1,13 +1,7 @@
 #include "core/operators/select_join.h"
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
-#include <memory>
 #include <vector>
-
-#include "engine/parallel_ops.h"
-#include "util/cancel.h"
 
 namespace qppt {
 
@@ -36,118 +30,32 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
 
   // alloc-exempt: O(columns) schema copy, once per operator bind.
   std::vector<ColumnDef> defs = left.column_defs();
-  QPPT_ASSIGN_OR_RETURN(auto assists, BindAssists(*ctx, all_assists, &defs));
+  PipelineShape shape;
+  QPPT_ASSIGN_OR_RETURN(shape.assists, BindAssists(*ctx, all_assists, &defs));
   Schema assembled(std::move(defs));
-  const size_t width = assembled.num_columns();
+  shape.row_width = assembled.num_columns();
+  shape.buffer_rows = ctx->knobs().join_buffer_size;
 
   QPPT_ASSIGN_OR_RETURN(
       auto output,
       MakeOutputTable(spec_.output, assembled, ctx->knobs().table_options));
 
-  std::vector<size_t> key_positions;
   if (!spec_.output.agg.empty()) {
     for (const auto& k : spec_.output.key_columns) {
       QPPT_ASSIGN_OR_RETURN(size_t idx, assembled.ColumnIndex(k));
-      key_positions.push_back(idx);
+      shape.key_positions.push_back(idx);
     }
   }
 
   stats.input_tuples = index->num_rows();
 
-  // Parallel path: the selection scan runs over a KISS-indexed range/all
-  // predicate, so it partitions into disjoint key-range morsels; each
-  // worker streams its qualifiers through a private probe pipeline into a
-  // private partial output (§4.3 composition preserved per worker).
-  engine::WorkerPool* pool = ctx->worker_pool();
-  const KissTree* kiss = index->kiss();
-  const bool parallel =
-      pool != nullptr && ctx->knobs().threads > 1 && kiss != nullptr &&
-      (spec_.predicate.kind == KeyPredicate::Kind::kRange ||
-       spec_.predicate.kind == KeyPredicate::Kind::kAll) &&
-      index->num_rows() >= engine::kMinParallelInputTuples;
-
-  if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
-    size_t workers = pool->num_workers();
-    engine::PartialOutputs partials(*output, workers);
-    std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
-    pipelines.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines.push_back(std::make_unique<CandidatePipeline>(
-          assists, width, partials.worker(w), key_positions,
-          ctx->knobs().join_buffer_size));
-    }
-    const std::string label = display_name();
-    auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
-          if (!left.Visible(value)) return;  // MVCC snapshot filter
-          for (const auto& r : residuals) {
-            if (!r.Eval(value)) return;
-          }
-          CandidatePipeline* pipeline = pipelines[w].get();
-          uint64_t* row = pipeline->AddRow();
-          left.Fill(value, row);
-          pipeline->MaybeProcess();
-        });
-    // Per-phase times overlap across workers; report the slowest worker
-    // (the critical path), which stays comparable to total_ms.
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines[w]->Finish();
-      stats.materialize_ms =
-          std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
-      stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
-    }
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
-  } else {
-    CandidatePipeline pipeline(std::move(assists), width, output.get(),
-                               std::move(key_positions),
-                               ctx->knobs().join_buffer_size);
-
-    // Selection scan: qualifying tuples stream straight into the probe
-    // pipeline — no intermediate index is ever materialized (§4.3).
-    // Serial loops poll the cancel token every kCancelStride tuples.
-    CancelTicker cancel(ctx->cancel());
-    auto emit = [&](uint64_t value) {
-      cancel.Tick();
-      if (!left.Visible(value)) return;  // MVCC snapshot filter
-      for (const auto& r : residuals) {
-        if (!r.Eval(value)) return;
-      }
-      uint64_t* row = pipeline.AddRow();
-      left.Fill(value, row);
-      pipeline.MaybeProcess();
-    };
-
-    switch (spec_.predicate.kind) {
-      case KeyPredicate::Kind::kPoint:
-        index->ForEachMatch(SlotFromInt64(spec_.predicate.point), emit);
-        break;
-      case KeyPredicate::Kind::kRange:
-        index->ForEachInRange(SlotFromInt64(spec_.predicate.lo),
-                              SlotFromInt64(spec_.predicate.hi), emit);
-        break;
-      case KeyPredicate::Kind::kIn:
-        for (int64_t point : spec_.predicate.in_points) {
-          index->ForEachMatch(SlotFromInt64(point), emit);
-        }
-        break;
-      case KeyPredicate::Kind::kAll:
-        index->ForEachValue(emit);
-        break;
-    }
-    pipeline.Finish();
-    stats.materialize_ms = pipeline.materialize_ms();
-    stats.index_ms = pipeline.index_ms();
-  }
+  // Selection scan: qualifying tuples stream straight into the probe
+  // pipeline — no intermediate index is ever materialized (§4.3). A
+  // parallel run gives every worker a private pipeline and partial
+  // output, so the §4.3 composition is preserved per worker.
+  SelectionScan select(*index, spec_.predicate, left, residuals);
+  RunScan(*ctx, display_name(), shape, select.split_tuples(), output.get(),
+          &stats, select);
 
   FillOutputStats(*output, &stats);
   stats.total_ms = total.ElapsedMs();

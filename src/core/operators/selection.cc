@@ -1,11 +1,8 @@
 #include "core/operators/selection.h"
 
 #include <cstdint>
-#include <limits>
+#include <string>
 #include <vector>
-
-#include "engine/parallel_ops.h"
-#include "util/cancel.h"
 
 namespace qppt {
 
@@ -26,150 +23,70 @@ Status SelectionOp::Execute(ExecContext* ctx) {
       auto output,
       MakeOutputTable(spec_.output, assembled, ctx->knobs().table_options));
 
-  stats.input_tuples = index->num_rows();
-  size_t width = side.num_columns();
-  const bool aggregating = !spec_.output.agg.empty();
-  std::vector<size_t> key_positions;
-  if (aggregating) {
+  // A selection is a select-join without assists: qualifying tuples
+  // stream through an assist-free candidate pipeline into the output.
+  PipelineShape shape;
+  shape.row_width = side.num_columns();
+  shape.buffer_rows = ctx->knobs().join_buffer_size;
+  if (!spec_.output.agg.empty()) {
     for (const auto& k : spec_.output.key_columns) {
       QPPT_ASSIGN_OR_RETURN(size_t idx, assembled.ColumnIndex(k));
-      key_positions.push_back(idx);
+      shape.key_positions.push_back(idx);
     }
   }
 
-  // Evaluates residuals for one qualifying index value and inserts the
-  // assembled tuple into `out`. `row` / `key_slots` are caller-owned
-  // scratch (per-worker in the parallel path).
-  auto process = [&](uint64_t value, uint64_t* row, uint64_t* key_slots,
-                     IndexedTable* out) {
-    if (!side.Visible(value)) return;  // MVCC snapshot filter (live index)
-    for (const auto& r : residuals) {
-      if (!r.Eval(value)) return;
-    }
-    side.Fill(value, row);
-    if (!aggregating) {
-      out->Insert(row);
-    } else {
-      for (size_t i = 0; i < key_positions.size(); ++i) {
-        key_slots[i] = row[key_positions[i]];
-      }
-      out->InsertAggregated(key_slots, row);
-    }
-  };
-
-  // Parallel path: a KISS-indexed range/all selection large enough to
-  // amortize the fork-join. Each worker scans disjoint morsel key ranges
-  // into a private partial output; partials merge at the end.
-  engine::WorkerPool* pool = ctx->worker_pool();
-  const KissTree* kiss = index->kiss();
-  const bool parallel =
-      pool != nullptr && ctx->knobs().threads > 1 && kiss != nullptr &&
-      spec_.composite_range.empty() &&
-      (spec_.predicate.kind == KeyPredicate::Kind::kRange ||
-       spec_.predicate.kind == KeyPredicate::Kind::kAll) &&
-      index->num_rows() >= engine::kMinParallelInputTuples;
-
-  Timer phase;
-  if (parallel) {
-    uint32_t lo = 0;
-    uint32_t hi = std::numeric_limits<uint32_t>::max();
-    if (spec_.predicate.kind == KeyPredicate::Kind::kRange) {
-      lo = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.lo));
-      hi = BaseIndex::KissKeyOf(SlotFromInt64(spec_.predicate.hi));
-    }
-    size_t workers = pool->num_workers();
-    engine::PartialOutputs partials(*output, workers);
-    std::vector<std::vector<uint64_t>> rows(workers,
-                                            std::vector<uint64_t>(width));
-    std::vector<std::vector<uint64_t>> keys(
-        workers, std::vector<uint64_t>(key_positions.size() + 1));
-    // Adaptive split feedback is keyed per operator site (the planner
-    // stage label), so interleaved queries tune independently. The label
-    // and tuner handle must outlive the driver calls.
-    const std::string label = display_name();
-    auto tuner = pool->TunerFor(label);
-    engine::MorselSite site{pool, tuner.get(), ctx->trace(), label};
-    stats.morsels = engine::RunKissValueMorsels(
-        site, *kiss, lo, hi, [&](size_t w, uint64_t value) {
-          process(value, rows[w].data(), keys[w].data(),
-                  partials.worker(w));
-        });
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
+  stats.input_tuples = index->num_rows();
+  const std::string label = display_name();
+  SelectionScan select(*index, spec_.predicate, side, residuals);
+  if (spec_.composite_range.empty()) {
+    RunScan(*ctx, label, shape, select.split_tuples(), output.get(), &stats,
+            select);
   } else {
-    std::vector<uint64_t> row(width);
-    std::vector<uint64_t> key_slots(key_positions.size() + 1);
-    // Serial scans poll the cancel token every kCancelStride tuples;
-    // the ticker throws CancelledException and Plan::Run converts it.
-    CancelTicker cancel(ctx->cancel());
-    auto emit = [&](uint64_t value) {
-      cancel.Tick();
-      process(value, row.data(), key_slots.data(), output.get());
-    };
-    if (!spec_.composite_range.empty()) {
-      // Conjunctive predicate over a multidimensional index (§4.1). The
-      // composite encoding is scanned over the lexicographic range; the
-      // per-component box bounds are verified on each hit (a lexicographic
-      // range is a superset of the box for the middle leading-component
-      // values).
-      size_t dims = spec_.composite_range.size();
-      if (dims != index->num_key_columns()) {
-        return Status::InvalidArgument(
-            "composite_range must give one (lo, hi) pair per index key "
-            "column");
-      }
-      std::vector<BaseIndex::Accessor> key_accessors;
-      for (const auto& name : index->key_column_names()) {
-        QPPT_ASSIGN_OR_RETURN(auto acc, index->BindColumn(name));
-        key_accessors.push_back(acc);
-      }
-      std::vector<uint64_t> lo(dims), hi(dims);
-      for (size_t i = 0; i < dims; ++i) {
-        lo[i] = SlotFromInt64(spec_.composite_range[i].first);
-        hi[i] = SlotFromInt64(spec_.composite_range[i].second);
-      }
-      auto emit_boxed = [&](uint64_t value) {
-        for (size_t i = 0; i < dims; ++i) {
-          int64_t v = Int64FromSlot(key_accessors[i].Get(value));
-          if (v < spec_.composite_range[i].first ||
-              v > spec_.composite_range[i].second) {
-            return;
-          }
-        }
-        emit(value);
-      };
-      index->ForEachInCompositeRange(lo.data(), hi.data(), emit_boxed);
-    } else {
-      switch (spec_.predicate.kind) {
-        case KeyPredicate::Kind::kPoint:
-          index->ForEachMatch(SlotFromInt64(spec_.predicate.point), emit);
-          break;
-        case KeyPredicate::Kind::kRange:
-          index->ForEachInRange(SlotFromInt64(spec_.predicate.lo),
-                                SlotFromInt64(spec_.predicate.hi), emit);
-          break;
-        case KeyPredicate::Kind::kIn:
-          for (int64_t point : spec_.predicate.in_points) {
-            index->ForEachMatch(SlotFromInt64(point), emit);
-          }
-          break;
-        case KeyPredicate::Kind::kAll:
-          index->ForEachValue(emit);
-          break;
-      }
+    // Conjunctive predicate over a multidimensional index (§4.1). The
+    // composite encoding is scanned over the lexicographic range; the
+    // per-component box bounds are verified on each hit (a lexicographic
+    // range is a superset of the box for the middle leading-component
+    // values). Always a whole (serial) scan.
+    size_t dims = spec_.composite_range.size();
+    if (dims != index->num_key_columns()) {
+      return Status::InvalidArgument(
+          "composite_range must give one (lo, hi) pair per index key "
+          "column");
     }
+    std::vector<BaseIndex::Accessor> key_accessors;
+    for (const auto& key_name : index->key_column_names()) {
+      QPPT_ASSIGN_OR_RETURN(auto acc, index->BindColumn(key_name));
+      key_accessors.push_back(acc);
+    }
+    std::vector<uint64_t> lo(dims), hi(dims);
+    for (size_t i = 0; i < dims; ++i) {
+      lo[i] = SlotFromInt64(spec_.composite_range[i].first);
+      hi[i] = SlotFromInt64(spec_.composite_range[i].second);
+    }
+    auto in_box = [&](uint64_t value) {
+      for (size_t i = 0; i < dims; ++i) {
+        int64_t v = Int64FromSlot(key_accessors[i].Get(value));
+        if (v < spec_.composite_range[i].first ||
+            v > spec_.composite_range[i].second) {
+          return false;
+        }
+      }
+      return true;
+    };
+    RunScan(*ctx, label, shape, /*split_tuples=*/0, output.get(), &stats,
+            [&](const engine::MorselSite*, std::vector<ScanSink>& sinks) {
+              ScanSink* sink = &sinks[0];
+              index->ForEachInCompositeRange(
+                  lo.data(), hi.data(), [&](uint64_t value) {
+                    sink->cancel.Tick();
+                    if (in_box(value)) select.Stage(sink, value);
+                  });
+              return size_t{0};
+            });
   }
-  double materialize_ms = phase.ElapsedMs();
 
   FillOutputStats(*output, &stats);
-  // The scan interleaves materialization and indexing; attribute the
-  // whole phase to materialization and report indexing as the remainder
-  // estimated from the output index bytes per tuple (coarse, like the
-  // demonstrator's internal statistics).
-  stats.materialize_ms = materialize_ms;
   stats.total_ms = total.ElapsedMs();
-  stats.index_ms = 0;
   QPPT_RETURN_NOT_OK(ctx->Put(spec_.output.slot, std::move(output)));
   ctx->stats()->operators.push_back(std::move(stats));
   return Status::OK();

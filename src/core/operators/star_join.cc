@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "core/sync_scan.h"
-#include "engine/parallel_ops.h"
-#include "util/cancel.h"
 
 namespace qppt {
 
@@ -35,176 +33,110 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   std::vector<ColumnDef> defs = left.column_defs();
   defs.insert(defs.end(), right.column_defs().begin(),
               right.column_defs().end());
-  QPPT_ASSIGN_OR_RETURN(auto assists,
+  PipelineShape shape;
+  QPPT_ASSIGN_OR_RETURN(shape.assists,
                         BindAssists(*ctx, spec_.assists, &defs));
   Schema assembled(std::move(defs));
-  const size_t width = assembled.num_columns();
+  shape.row_width = assembled.num_columns();
+  shape.buffer_rows = ctx->knobs().join_buffer_size;
   const size_t left_width = left.num_columns();
 
   QPPT_ASSIGN_OR_RETURN(
       auto output,
       MakeOutputTable(spec_.output, assembled, ctx->knobs().table_options));
 
-  std::vector<size_t> key_positions;
   if (!spec_.output.agg.empty()) {
     for (const auto& k : spec_.output.key_columns) {
       QPPT_ASSIGN_OR_RETURN(size_t idx, assembled.ColumnIndex(k));
-      key_positions.push_back(idx);
+      shape.key_positions.push_back(idx);
     }
   }
 
   stats.input_tuples = left.num_input_tuples() + right.num_input_tuples();
 
-  // Serial scans poll the cancel token every kCancelStride emitted
-  // pairs, mirroring the selection/select-join loops: the ticker throws
-  // CancelledException and Plan::Run converts it back to a Status. The
-  // parallel branches poll per morsel inside the drivers instead (the
-  // ticker is not thread-safe), so only run_serial arms the pointer.
-  CancelTicker serial_cancel(ctx->cancel());
-  CancelTicker* serial_ticker = nullptr;
-
-  // Cross-product emission shared by all scan branches (nested-loop over
-  // the duplicate lists of one matched key, §4.2).
-  auto emit_pair = [&](CandidatePipeline* pipeline, uint64_t l, uint64_t r) {
-    if (serial_ticker != nullptr) serial_ticker->Tick();
+  // Cross-product emission shared by the three family scans (nested-loop
+  // over the duplicate lists of one matched key, §4.2). Every pair ticks
+  // its sink's cancel poll.
+  auto emit_pair = [&](ScanSink* sink, uint64_t l, uint64_t r) {
+    sink->cancel.Tick();
     // MVCC snapshot filter: no-op branches for non-versioned sides.
     if (!left.Visible(l) || !right.Visible(r)) return;
-    uint64_t* row = pipeline->AddRow();
+    uint64_t* row = sink->pipeline.AddRow();
     left.Fill(l, row);
     right.Fill(r, row + left_width);
-    pipeline->MaybeProcess();
+    sink->pipeline.MaybeProcess();
+  };
+  auto emit_lists = [&](ScanSink* sink, const auto& lv, const auto& rv) {
+    lv.ForEach([&](uint64_t l) {
+      rv.ForEach([&](uint64_t r) { emit_pair(sink, l, r); });
+    });
   };
 
-  engine::WorkerPool* pool = ctx->worker_pool();
-  // Adaptive split feedback is keyed per operator site (the planner
-  // stage label), so interleaved queries tune independently. The label
-  // and tuner handle must outlive the driver calls below.
-  const std::string site_label = display_name();
-  std::shared_ptr<engine::MorselTuner> tuner =
-      pool != nullptr ? pool->TunerFor(site_label) : nullptr;
-  engine::MorselSite site{pool, tuner.get(), ctx->trace(), site_label};
-  // Forking pays off when the side driving the scan is big enough; the
-  // mixed branch overrides this with the KISS (scanned) side's size.
-  auto worth_forking = [&](uint64_t scanned_tuples) {
-    return pool != nullptr && ctx->knobs().threads > 1 &&
-           scanned_tuples >= engine::kMinParallelInputTuples;
-  };
-  const bool parallel = worth_forking(left.num_input_tuples());
-
-  // Shared driver of every parallel branch: per-worker pipelines feeding
-  // per-worker partial outputs, one morsel batch (`scan` returns the
-  // morsel count), then the key-range-partitioned merge — whose wall
-  // time is reported separately so the merge bottleneck stays visible.
-  auto run_parallel = [&](auto&& scan) {
-    size_t workers = pool->num_workers();
-    engine::PartialOutputs partials(*output, workers);
-    std::vector<std::unique_ptr<CandidatePipeline>> pipelines;
-    pipelines.reserve(workers);
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines.push_back(std::make_unique<CandidatePipeline>(
-          assists, width, partials.worker(w), key_positions,
-          ctx->knobs().join_buffer_size));
-    }
-    stats.morsels = scan(pipelines);
-    // Per-phase times overlap across workers; report the slowest worker
-    // (the critical path), which stays comparable to total_ms.
-    for (size_t w = 0; w < workers; ++w) {
-      pipelines[w]->Finish();
-      stats.materialize_ms =
-          std::max(stats.materialize_ms, pipelines[w]->materialize_ms());
-      stats.index_ms = std::max(stats.index_ms, pipelines[w]->index_ms());
-    }
-    Timer merge;
-    stats.merge_morsels = partials.MergeInto(site, output.get());
-    stats.merge_ms = merge.ElapsedMs();
-  };
-
-  auto run_serial = [&](auto&& scan) {
-    serial_ticker = &serial_cancel;
-    CandidatePipeline pipeline(assists, width, output.get(), key_positions,
-                               ctx->knobs().join_buffer_size);
-    scan(&pipeline);
-    pipeline.Finish();
-    stats.materialize_ms = pipeline.materialize_ms();
-    stats.index_ms = pipeline.index_ms();
-  };
-
-  if (!left.is_kiss() && !right.is_kiss()) {
-    // Prefix-tree mains: structural synchronous scan. The parallel path
-    // splits the trees at their branching level into disjoint subtree
-    // pair morsels (§7: deterministic key positions, no rebalancing).
-    const PrefixTree& lp = *left.prefix();
-    const PrefixTree& rp = *right.prefix();
-    auto emit_lists = [&](CandidatePipeline* pipeline, const ValueList* lv,
-                          const ValueList* rv) {
-      lv->ForEach([&](uint64_t l) {
-        rv->ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
-      });
-    };
-    if (parallel) {
-      run_parallel([&](auto& pipelines) {
-        return engine::RunPrefixPairMorsels(
-            site, lp, rp,
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanPairSlots(
-                  lp, rp, level, begin, end,
-                  [&](const uint8_t*, const ValueList* lv,
-                      const ValueList* rv) {
-                    emit_lists(pipeline, lv, rv);
-                  });
-            });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline) {
-        SynchronousScan(lp, rp,
-                        [&](const uint8_t*, const ValueList* lv,
-                            const ValueList* rv) {
-                          emit_lists(pipeline, lv, rv);
-                        });
-      });
-    }
-  } else if (left.is_kiss() && right.is_kiss()) {
+  // One scan per main-family pairing. Each scans a morsel — a key range
+  // or a slice of branching-level pair slots — into one worker's sink;
+  // the serial run (site == nullptr) is the same scan over the whole
+  // span or all pair slots, as a single morsel.
+  const std::string label = display_name();
+  if (left.is_kiss() && right.is_kiss()) {
     // The synchronous index scan over the two main indexes (Fig. 6): only
     // buckets used by both sides are descended into; each shared key
     // yields the cross product of the two duplicate lists (§4.2).
+    // Morsels are disjoint key ranges of the shared span.
     const KissTree& lk = *left.kiss();
     const KissTree& rk = *right.kiss();
-    if (parallel) {
-      // Probe side parallelism: disjoint key-range morsels over the
-      // shared span, per-worker pipelines and partial outputs, one merge
-      // at the end.
-      uint32_t lo = std::max(lk.min_key(), rk.min_key());
-      uint32_t hi = std::min(lk.max_key(), rk.max_key());
-      run_parallel([&](auto& pipelines) {
-        return engine::RunKissRangeMorsels(
-            site, lk, lo, hi, [&](size_t w, uint32_t mlo, uint32_t mhi) {
-              CandidatePipeline* pipeline = pipelines[w].get();
-              SynchronousScanRange(
-                  lk, rk, mlo, mhi,
-                  [&](uint32_t, const KissTree::ValueRef& lv,
-                      const KissTree::ValueRef& rv) {
-                    lv.ForEach([&](uint64_t l) {
-                      rv.ForEach(
-                          [&](uint64_t r) { emit_pair(pipeline, l, r); });
-                    });
+    auto scan_range = [&](ScanSink* sink, uint32_t lo, uint32_t hi) {
+      SynchronousScanRange(lk, rk, lo, hi,
+                           [&](uint32_t, const KissTree::ValueRef& lv,
+                               const KissTree::ValueRef& rv) {
+                             emit_lists(sink, lv, rv);
+                           });
+    };
+    RunScan(*ctx, label, shape, left.num_input_tuples(), output.get(),
+            &stats,
+            [&](const engine::MorselSite* site,
+                std::vector<ScanSink>& sinks) -> size_t {
+              uint32_t lo = std::max(lk.min_key(), rk.min_key());
+              uint32_t hi = std::min(lk.max_key(), rk.max_key());
+              if (site == nullptr) {
+                scan_range(&sinks[0], lo, hi);
+                return 0;
+              }
+              return engine::RunKissRangeMorsels(
+                  *site, lk, lo, hi,
+                  [&](size_t w, uint32_t mlo, uint32_t mhi) {
+                    scan_range(&sinks[w], mlo, mhi);
                   });
             });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline) {
-        SynchronousScan(lk, rk,
-                        [&](uint32_t, const KissTree::ValueRef& lv,
-                            const KissTree::ValueRef& rv) {
-                          lv.ForEach([&](uint64_t l) {
-                            rv.ForEach([&](uint64_t r) {
-                              emit_pair(pipeline, l, r);
-                            });
-                          });
-                        });
-      });
-    }
+  } else if (!left.is_kiss() && !right.is_kiss()) {
+    // Prefix-tree mains: structural synchronous scan. Morsels are the
+    // disjoint subtree pairs at the trees' branching level (§7:
+    // deterministic key positions, no rebalancing).
+    const PrefixTree& lp = *left.prefix();
+    const PrefixTree& rp = *right.prefix();
+    auto scan_slots = [&](ScanSink* sink, const PairScanLevel& level,
+                          size_t begin, size_t end) {
+      SynchronousScanPairSlots(lp, rp, level, begin, end,
+                               [&](const uint8_t*, const ValueList* lv,
+                                   const ValueList* rv) {
+                                 emit_lists(sink, *lv, *rv);
+                               });
+    };
+    RunScan(*ctx, label, shape, left.num_input_tuples(), output.get(),
+            &stats,
+            [&](const engine::MorselSite* site,
+                std::vector<ScanSink>& sinks) -> size_t {
+              if (site == nullptr) {
+                PairScanLevel level = FindPairScanLevel(lp, rp);
+                scan_slots(&sinks[0], level, 0, level.slots.size());
+                return 0;
+              }
+              return engine::RunPrefixPairMorsels(
+                  *site, lp, rp,
+                  [&](size_t w, const PairScanLevel& level, size_t begin,
+                      size_t end) {
+                    scan_slots(&sinks[w], level, begin, end);
+                  });
+            });
   } else {
     // Mixed main families (one KISS, one prefix — e.g. a KISS-indexed
     // base main joined with a prefix-tree intermediate when prefer_kiss
@@ -213,8 +145,8 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit
     // truncation reproduces exactly the conflation a KISS x KISS scan
     // applies to every attribute value — no reconstruction heuristics.
-    // The parallel path splits the prefix side at its branching level
-    // (self-pairing reuses the pair-scan partitioner).
+    // Morsels are the prefix side's branching-level slots (self-pairing
+    // reuses the pair-scan partitioner).
     const bool left_is_kiss = left.is_kiss();
     const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
     const PrefixTree& ptree =
@@ -224,10 +156,10 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
           "star join with mixed KISS/prefix mains requires the prefix main "
           "to be keyed on the single shared integer join attribute");
     }
-    // Drives one scan of (part of) the prefix side: `enumerate(sink)`
-    // calls sink(key, values) per content node; probes are staged and
-    // flushed through BatchLookup in kMixedProbeBatch groups.
-    auto scan_mixed = [&](CandidatePipeline* pipeline, auto&& enumerate) {
+    // Probes are staged and flushed through BatchLookup in
+    // kMixedProbeBatch groups.
+    auto scan_slots = [&](ScanSink* sink, const PairScanLevel& level,
+                          size_t begin, size_t end) {
       KissTree::LookupJob jobs[kMixedProbeBatch];
       const ValueList* prefix_vals[kMixedProbeBatch];
       size_t n = 0;
@@ -236,25 +168,21 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
         ktree.BatchLookup(std::span<KissTree::LookupJob>(jobs, n));
         for (size_t i = 0; i < n; ++i) {
           if (!jobs[i].found) continue;
-          const ValueList* pv = prefix_vals[i];
-          const KissTree::ValueRef& kv = jobs[i].values;
           if (left_is_kiss) {
-            kv.ForEach([&](uint64_t l) {
-              pv->ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
-            });
+            emit_lists(sink, jobs[i].values, *prefix_vals[i]);
           } else {
-            pv->ForEach([&](uint64_t l) {
-              kv.ForEach([&](uint64_t r) { emit_pair(pipeline, l, r); });
-            });
+            emit_lists(sink, *prefix_vals[i], jobs[i].values);
           }
         }
         n = 0;
       };
-      enumerate([&](const uint8_t* key, const ValueList* vals) {
-        jobs[n].key = static_cast<uint32_t>(DecodeI64(key));  // KissKeyOf
-        prefix_vals[n] = vals;
-        if (++n == kMixedProbeBatch) flush();
-      });
+      SynchronousScanPairSlots(
+          ptree, ptree, level, begin, end,
+          [&](const uint8_t* key, const ValueList* vals, const ValueList*) {
+            jobs[n].key = static_cast<uint32_t>(DecodeI64(key));  // KissKeyOf
+            prefix_vals[n] = vals;
+            if (++n == kMixedProbeBatch) flush();
+          });
       flush();
     };
     // Fork on EITHER side being big: the scan runs over the prefix
@@ -262,30 +190,23 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     // duplicate lists — a huge fact main joined through a tiny dimension
     // intermediate still parallelizes by splitting the dimension's keys
     // (and their emit work) across morsels.
-    if (worth_forking(std::max(left.num_input_tuples(),
-                               right.num_input_tuples()))) {
-      run_parallel([&](auto& pipelines) {
-        return engine::RunPrefixPairMorsels(
-            site, ptree, ptree,  // self-pair: every populated subtree
-            [&](size_t w, const PairScanLevel& level, size_t begin,
-                size_t end) {
-              scan_mixed(pipelines[w].get(), [&](auto&& sink) {
-                SynchronousScanPairSlots(
-                    ptree, ptree, level, begin, end,
-                    [&](const uint8_t* key, const ValueList* vals,
-                        const ValueList*) { sink(key, vals); });
-              });
+    RunScan(*ctx, label, shape,
+            std::max(left.num_input_tuples(), right.num_input_tuples()),
+            output.get(), &stats,
+            [&](const engine::MorselSite* site,
+                std::vector<ScanSink>& sinks) -> size_t {
+              if (site == nullptr) {
+                PairScanLevel level = FindPairScanLevel(ptree, ptree);
+                scan_slots(&sinks[0], level, 0, level.slots.size());
+                return 0;
+              }
+              return engine::RunPrefixPairMorsels(
+                  *site, ptree, ptree,
+                  [&](size_t w, const PairScanLevel& level, size_t begin,
+                      size_t end) {
+                    scan_slots(&sinks[w], level, begin, end);
+                  });
             });
-      });
-    } else {
-      run_serial([&](CandidatePipeline* pipeline) {
-        scan_mixed(pipeline, [&](auto&& sink) {
-          ptree.ScanAll([&](const PrefixTree::ContentNode& c) {
-            sink(c.key(), ptree.ValuesOf(&c));
-          });
-        });
-      });
-    }
   }
 
   FillOutputStats(*output, &stats);

@@ -8,12 +8,21 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "core/plan.h"
 #include "util/bits.h"
 
 namespace qppt::engine {
+
+MorselSite::MorselSite(const ExecContext& ctx, std::string_view label)
+    : pool(ctx.worker_pool()),
+      tuner(pool->TunerFor(label)),
+      trace(ctx.trace()),
+      label(label),
+      cancel(ctx.cancel()) {}
 
 namespace {
 
@@ -265,7 +274,7 @@ void PartialOutputs::SetPlanMutatorForTest(PlanMutator mutator) {
 
 size_t PartialOutputs::MergeInto(const MorselSite& site,
                                  IndexedTable* final_table) {
-  if (site.pool == nullptr || site.pool->num_workers() <= 1) {
+  if (site.pool->num_workers() <= 1) {
     MergeInto(final_table);
     return 0;
   }

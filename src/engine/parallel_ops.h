@@ -11,6 +11,11 @@
 // PartialOutputs::MergeInto. The input trees are never mutated, so
 // concurrent readers need no synchronization.
 //
+// Operators do not call these drivers on their own: the one scan runner,
+// RunScan (core/operators/common.h), decides serial-or-parallel, builds
+// the operator's MorselSite from its ExecContext, owns the per-worker
+// partials and pipelines, and hands the site to the drivers below.
+//
 // Split counts are adaptive: each driver reports its batch's per-morsel
 // wall times to its operator site's MorselTuner
 // (WorkerPool::TunerFor, engine/scheduler.h), which refines the split
@@ -25,6 +30,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -38,6 +44,10 @@
 #include "util/cancel.h"
 #include "util/failpoint.h"
 
+namespace qppt {
+class ExecContext;  // core/plan.h
+}  // namespace qppt
+
 namespace qppt::engine {
 
 // Inputs smaller than this run serially — forking costs more than it
@@ -50,20 +60,25 @@ inline constexpr size_t kMinParallelInputTuples = 4096;
 inline constexpr size_t kMinParallelAggGroups = 64;
 
 // Everything a parallel driver needs to know about its call site: which
-// pool to fork on, which operator-site tuner to feed morsel times to
-// (nullptr = pool default), and — when the query is traced — where and
-// under what stage label to record the spans. The label must outlive the
-// driver call (operators hold it as a local; the trace arena-copies it
-// per span).
+// pool to fork on, which operator-site tuner to feed morsel times to,
+// where to record trace spans (and under what stage label), and which
+// token to poll for cancellation. Built only from the query's
+// ExecContext, so every parallel run carries the query's cancel token.
 struct MorselSite {
-  WorkerPool* pool = nullptr;
-  MorselTuner* tuner = nullptr;
-  obs::QueryTrace* trace = nullptr;  // nullptr = tracing off
-  std::string_view label;            // stage label for trace spans
+  // The site of stage `label` in the query running on `ctx`: the
+  // context's pool, that pool's tuner for `label` (WorkerPool::TunerFor),
+  // the query trace and the query cancel token. `ctx` must have a pool.
+  MorselSite(const ExecContext& ctx, std::string_view label);
+
+  WorkerPool* const pool;
+  const std::shared_ptr<MorselTuner> tuner;  // held: TunerFor may evict
+  obs::QueryTrace* const trace;              // nullptr = tracing off
+  const std::string label;                   // stage label for trace spans
   // Query cancellation token (nullptr = not cancellable). Polled once
-  // per morsel — the morsel boundary is the cancellation granularity of
-  // every parallel driver; per-tuple loops stay check-free.
-  const CancelToken* cancel = nullptr;
+  // per morsel and per merge shard — the morsel boundary is the drivers'
+  // cancellation granularity; scans inside a morsel tick their own
+  // CancelTicker.
+  const CancelToken* const cancel;
 };
 
 // Runs fn(worker, morsel) for every morsel, recording per-morsel wall
@@ -93,16 +108,7 @@ void RunTimedMorsels(const MorselSite& site, size_t count, Fn&& fn) {
                     trace->NowUs());
     }
   });
-  (site.tuner != nullptr ? site.tuner : site.pool->tuner())
-      ->RecordBatch(&times);
-}
-
-// Back-compat shim for callers without a trace (tests, utilities).
-template <typename Fn>
-void RunTimedMorsels(WorkerPool* pool, MorselTuner* tuner, size_t count,
-                     Fn&& fn) {
-  RunTimedMorsels(MorselSite{pool, tuner, nullptr, {}}, count,
-                  std::forward<Fn>(fn));
+  site.tuner->RecordBatch(&times);
 }
 
 // Validators for the merge-range plans below (exposed for tests): true
@@ -155,9 +161,6 @@ class PartialOutputs {
   // span under the site's label. Returns the number of merge morsels
   // executed (0 = serial merge).
   size_t MergeInto(const MorselSite& site, IndexedTable* final_table);
-  size_t MergeInto(WorkerPool* pool, IndexedTable* final_table) {
-    return MergeInto(MorselSite{pool, nullptr, nullptr, {}}, final_table);
-  }
 
   // Test hook: mutates every planned range list before validation, so
   // tests can inject non-covering plans and exercise the runtime
@@ -182,23 +185,13 @@ class PartialOutputs {
 template <typename Fn>
 size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
                            uint32_t lo, uint32_t hi, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
   auto ranges = PartitionKissRange(
-      tree, lo, hi, tuner->MorselTarget(site.pool->num_workers()));
+      tree, lo, hi, site.tuner->MorselTarget(site.pool->num_workers()));
   if (ranges.empty()) return 0;
   RunTimedMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
     fn(worker, ranges[m].first, ranges[m].second);
   });
   return ranges.size();
-}
-
-template <typename Fn>
-size_t RunKissRangeMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           const Fn& fn) {
-  return RunKissRangeMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, fn);
 }
 
 // Pair-partitions two prefix trees at their branching level
@@ -211,12 +204,10 @@ size_t RunKissRangeMorsels(WorkerPool* pool, MorselTuner* tuner,
 template <typename Fn>
 size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
                             const PrefixTree& right, const Fn& fn) {
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : site.pool->tuner();
   PairScanLevel level = FindPairScanLevel(left, right);
   if (level.slots.empty()) return 0;
-  auto slices = SplitEvenly(level.slots.size(),
-                            tuner->MorselTarget(site.pool->num_workers()));
+  auto slices = SplitEvenly(
+      level.slots.size(), site.tuner->MorselTarget(site.pool->num_workers()));
   RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
     fn(worker, level, slices[m].first, slices[m].second);
   });
@@ -237,9 +228,7 @@ template <typename ProcessFn>
 size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
                            uint32_t lo, uint32_t hi, ProcessFn&& process) {
   WorkerPool* pool = site.pool;
-  MorselTuner* tuner =
-      site.tuner != nullptr ? site.tuner : pool->tuner();
-  const size_t target = tuner->MorselTarget(pool->num_workers());
+  const size_t target = site.tuner->MorselTarget(pool->num_workers());
   auto ranges = PartitionKissRange(tree, lo, hi, target);
   if (ranges.empty()) return 0;
   if (ranges.size() >= pool->num_workers()) {
@@ -255,8 +244,12 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
     return ranges.size();
   }
   std::vector<uint64_t> values;
+  CancelTicker cancel(site.cancel);
   tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
-    vals.ForEach([&](uint64_t v) { values.push_back(v); });
+    vals.ForEach([&](uint64_t v) {
+      cancel.Tick();
+      values.push_back(v);
+    });
   });
   if (values.empty()) return 0;
   auto slices = SplitEvenly(
@@ -269,14 +262,6 @@ size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
     }
   });
   return slices.size();
-}
-
-template <typename ProcessFn>
-size_t RunKissValueMorsels(WorkerPool* pool, MorselTuner* tuner,
-                           const KissTree& tree, uint32_t lo, uint32_t hi,
-                           ProcessFn&& process) {
-  return RunKissValueMorsels(MorselSite{pool, tuner, nullptr, {}}, tree, lo,
-                             hi, std::forward<ProcessFn>(process));
 }
 
 }  // namespace qppt::engine

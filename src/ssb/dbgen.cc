@@ -220,15 +220,30 @@ Status BuildIndexes(Database* db, const SsbConfig& config) {
 }  // namespace
 
 const ColumnTable& SsbData::Columnar(const std::string& table_name) {
-  auto it = columnar_.find(table_name);
-  if (it == columnar_.end()) {
-    const RowTable* rows = db.table(table_name).value();
-    it = columnar_
-             .emplace(table_name, std::make_unique<ColumnTable>(
-                                      ColumnTable::FromRowTable(*rows)))
-             .first;
+  CachedColumns& cached = columnar_[table_name];
+  auto versioned = db.versioned_table(table_name);
+  if (!versioned.ok()) {
+    if (cached.table == nullptr) {
+      cached.table = std::make_unique<ColumnTable>(
+          ColumnTable::FromRowTable(*db.table(table_name).value()));
+    }
+    return *cached.table;
   }
-  return *it->second;
+  const Timestamp now = db.txn_manager().last_commit_ts();
+  if (cached.table == nullptr || cached.as_of != now) {
+    const RowTable& rows = (*versioned)->storage();
+    const size_t cols = rows.schema().num_columns();
+    std::vector<Rid> visible = (*versioned)->SnapshotRids(now);
+    auto table = std::make_unique<ColumnTable>(rows.schema(), rows.name());
+    table->Reserve(visible.size());
+    std::vector<uint64_t> row(cols);
+    for (Rid rid : visible) {
+      for (size_t c = 0; c < cols; ++c) row[c] = rows.GetSlot(rid, c);
+      table->AppendRow(row);
+    }
+    cached = {now, std::move(table)};
+  }
+  return *cached.table;
 }
 
 Result<std::unique_ptr<SsbData>> Generate(const SsbConfig& config) {

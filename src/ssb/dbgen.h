@@ -73,11 +73,18 @@ class SsbData {
     return dicts.brand->CodeOf(name).value();
   }
 
-  // Columnar copies for the baseline engines (built lazily, cached).
+  // Columnar copies for the baseline engines (built lazily, cached). A
+  // versioned table is copied as of its latest commit — only the rows
+  // visible at db.txn_manager().last_commit_ts() — and recopied once a
+  // later commit lands.
   const ColumnTable& Columnar(const std::string& table_name);
 
  private:
-  std::map<std::string, std::unique_ptr<ColumnTable>> columnar_;
+  struct CachedColumns {
+    Timestamp as_of = 0;  // last_commit_ts of the copy (versioned tables)
+    std::unique_ptr<ColumnTable> table;
+  };
+  std::map<std::string, CachedColumns> columnar_;
 };
 
 // Generates tables, dictionaries, and (optionally) base indexes.

@@ -19,6 +19,7 @@
 #include "core/agg.h"
 #include "core/indexed_table.h"
 #include "core/parallel.h"
+#include "core/plan.h"
 #include "engine/parallel_ops.h"
 #include "engine/scheduler.h"
 #include "engine/session.h"
@@ -224,6 +225,19 @@ TEST(PartialOutputsTest, PlainMergeKeepsAllTuples) {
   EXPECT_EQ(got, reference);
 }
 
+// A query context over an empty database with `pool` attached: a
+// MorselSite is built only from an ExecContext, so driver-level tests
+// make their sites here.
+struct PoolContext {
+  explicit PoolContext(engine::WorkerPool* pool) : ctx(&db) {
+    ctx.set_worker_pool(pool);
+  }
+  engine::MorselSite Site() const { return engine::MorselSite(ctx, "test"); }
+
+  Database db;
+  ExecContext ctx;
+};
+
 // ---- key-range-partitioned parallel merge ----------------------------------
 
 // Inserting tuples round-robin into N partials, then merging with the
@@ -248,7 +262,8 @@ TEST(PartialOutputsTest, ParallelMergeMatchesSerialKissPlain) {
     serial->Insert(row);
     partials.worker(static_cast<size_t>(i) % 3)->Insert(row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels =
+      partials.MergeInto(PoolContext(&pool).Site(), merged.get());
   EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
 
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
@@ -292,7 +307,8 @@ TEST(PartialOutputsTest, ParallelMergeMatchesSerialPrefixPlain) {
     serial->Insert(row);
     partials.worker(static_cast<size_t>(i) % 4)->Insert(row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels =
+      partials.MergeInto(PoolContext(&pool).Site(), merged.get());
   EXPECT_GT(merge_morsels, 1u) << "parallel merge did not partition";
 
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
@@ -390,7 +406,8 @@ TEST(PartialOutputsTest, AggParallelMergeMatchesSerialAllKindsAndFamilies) {
                 ->InsertAggregated(keys, row);
           }
         }
-        size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+        size_t merge_morsels =
+            partials.MergeInto(PoolContext(&pool).Site(), merged.get());
         std::string label = std::string(AggFnToString(fn)) +
                             (kiss ? " kiss" : " prefix") + " t=" +
                             std::to_string(threads);
@@ -430,7 +447,8 @@ TEST(PartialOutputsTest, ParallelMergeHandlesDisjointPartialSpans) {
     partials.worker(0)->Insert(lo_row);
     partials.worker(1)->Insert(hi_row);
   }
-  size_t merge_morsels = partials.MergeInto(&pool, merged.get());
+  size_t merge_morsels =
+      partials.MergeInto(PoolContext(&pool).Site(), merged.get());
   EXPECT_GT(merge_morsels, 1u);
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -486,7 +504,7 @@ TEST(PartialOutputsTest, NonCoveringKissPlanFallsBackToSerialMerge) {
       [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
         if (ranges->size() > 2) ranges->erase(ranges->begin() + 1);
       });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
+  EXPECT_EQ(partials.MergeInto(PoolContext(&pool).Site(), merged.get()), 0u)
       << "non-covering plan must fall back to the serial merge";
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -528,7 +546,7 @@ TEST(PartialOutputsTest, NonCoveringPrefixPlanFallsBackToSerialMerge) {
       [](std::vector<IndexedTable::MergeKeyRange>* ranges) {
         if (!ranges->empty()) ranges->pop_back();
       });
-  EXPECT_EQ(partials.MergeInto(&pool, merged.get()), 0u)
+  EXPECT_EQ(partials.MergeInto(PoolContext(&pool).Site(), merged.get()), 0u)
       << "truncated plan must fall back to the serial merge";
   EXPECT_EQ(merged->num_tuples(), serial->num_tuples());
   EXPECT_EQ(merged->num_keys(), serial->num_keys());
@@ -582,7 +600,7 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
     agg_partials.worker(static_cast<size_t>(i) % 2)->InsertAggregated(&g,
                                                                       row);
   }
-  EXPECT_EQ(agg_partials.MergeInto(&pool, agg.get()), 0u);
+  EXPECT_EQ(agg_partials.MergeInto(PoolContext(&pool).Site(), agg.get()), 0u);
   EXPECT_EQ(agg->num_keys(), 7u);
 
   // Small plain output: below the threshold, stays serial.
@@ -595,7 +613,8 @@ TEST(PartialOutputsTest, ParallelMergeFallsBackWhenSerialIsRight) {
     uint64_t row[1] = {SlotFromInt64(i)};
     small_partials.worker(static_cast<size_t>(i) % 2)->Insert(row);
   }
-  EXPECT_EQ(small_partials.MergeInto(&pool, small.get()), 0u);
+  EXPECT_EQ(
+      small_partials.MergeInto(PoolContext(&pool).Site(), small.get()), 0u);
   EXPECT_EQ(small->num_tuples(), 100u);
 }
 
@@ -672,10 +691,12 @@ TEST(MorselTunerTest, InterleavedSitesTuneIndependently) {
 }
 
 // The tuner feedback is wired into the drivers: a skewed key
-// distribution (one giant duplicate chain) refines the pool's split.
+// distribution (one giant duplicate chain) refines the site's split.
 TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
   engine::WorkerPool pool(2);
-  size_t before = pool.tuner()->per_worker();
+  const engine::MorselSite site = PoolContext(&pool).Site();
+  engine::MorselTuner* tuner = site.tuner.get();
+  size_t before = tuner->per_worker();
   KissTree tree;
   size_t l2 = tree.level2_bits();
   // 64 buckets; bucket 0 holds 64x the work of the others.
@@ -687,7 +708,7 @@ TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
   std::atomic<uint64_t> seen{0};
   for (int round = 0; round < 20; ++round) {
     engine::RunKissRangeMorsels(
-        &pool, pool.tuner(), tree, 0, 0xFFFFFFFFu,
+        site, tree, 0, 0xFFFFFFFFu,
         [&](size_t, uint32_t lo, uint32_t hi) {
           tree.ScanRange(lo, hi,
                          [&](uint32_t, const KissTree::ValueRef& vals) {
@@ -698,12 +719,12 @@ TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
                            });
                          });
         });
-    if (pool.tuner()->per_worker() > before) break;
+    if (tuner->per_worker() > before) break;
   }
   // The refinement is timing-dependent; what must ALWAYS hold is that
   // the tuner never leaves its clamp range and the scan stays correct.
-  EXPECT_GE(pool.tuner()->per_worker(), engine::MorselTuner::kMinPerWorker);
-  EXPECT_LE(pool.tuner()->per_worker(), engine::MorselTuner::kMaxPerWorker);
+  EXPECT_GE(tuner->per_worker(), engine::MorselTuner::kMinPerWorker);
+  EXPECT_LE(tuner->per_worker(), engine::MorselTuner::kMaxPerWorker);
 }
 
 // ---- session front door: shared-scan reads ---------------------------------

@@ -16,6 +16,8 @@
 
 #include "baseline/common.h"
 #include "core/query/planner.h"
+#include "engine/session.h"
+#include "engine/write_session.h"
 #include "ssb/queries_baseline.h"
 #include "ssb/queries_qppt.h"
 
@@ -602,6 +604,60 @@ TEST_F(SsbQueriesTest, IndexFreeTwinMatchesIndexedData) {
     ASSERT_TRUE(on_indexed.ok()) << id << ": " << on_indexed.status();
     ExpectSameResults(*on_indexed, *on_twin, "index-free twin, Q" + id);
   }
+}
+
+// The column oracle on versioned data reads the latest committed
+// snapshot: superseded versions are not counted, and a copy cached before
+// a commit is not served after it.
+TEST(VersionedColumnarTest, ColumnOracleSeesOnlyTheLatestSnapshot) {
+  SsbConfig cfg;
+  cfg.scale_factor = 0.01;
+  cfg.seed = 11;
+  cfg.versioned_lineorder = true;
+  auto generated = Generate(cfg);
+  ASSERT_TRUE(generated.ok()) << generated.status();
+  SsbData& data = **generated;
+  auto expect_column_matches_qppt = [&](const std::string& when) {
+    for (const std::string& id : AllQueryIds()) {
+      auto qppt_result = RunQppt(data, id, PlanKnobs{});
+      ASSERT_TRUE(qppt_result.ok()) << id << ": " << qppt_result.status();
+      auto column_result = RunColumn(data, id);
+      ASSERT_TRUE(column_result.ok()) << id << ": " << column_result.status();
+      ExpectSameResults(*qppt_result, *column_result,
+                        when + ": qppt vs column, Q" + id);
+    }
+  };
+
+  // 3000 same-value updates in 30 commits: each leaves a superseded
+  // version behind in the table's storage.
+  const MvccTable* lineorder = data.db.versioned_table("lineorder").value();
+  const size_t logical_rows = lineorder->num_logical_rows();
+  const size_t cols = lineorder->schema().num_columns();
+  engine::EngineRunner runner;
+  std::vector<uint64_t> row(cols);
+  for (size_t txn = 0; txn < 30; ++txn) {
+    engine::WriteSession ws = runner.OpenWriteSession(&data.db);
+    for (size_t i = 0; i < 100; ++i) {
+      MvccTable::LogicalId id = (txn * 100 + i) * 17 % logical_rows;
+      auto rid = ws.Read("lineorder", id);
+      ASSERT_TRUE(rid.ok() && rid->has_value()) << id;
+      for (size_t c = 0; c < cols; ++c) {
+        row[c] = lineorder->storage().GetSlot(**rid, c);
+      }
+      ASSERT_TRUE(ws.Update("lineorder", id, row).ok()) << id;
+    }
+    ASSERT_TRUE(ws.Commit().ok());
+  }
+  ASSERT_EQ(lineorder->num_versions(), logical_rows + 3000);
+  expect_column_matches_qppt("after 3000 same-value updates");
+
+  // A later commit that changes the data: the cached copies are stale.
+  engine::WriteSession ws = runner.OpenWriteSession(&data.db);
+  for (MvccTable::LogicalId id = 0; id < logical_rows; id += 7) {
+    ASSERT_TRUE(ws.Delete("lineorder", id).ok()) << id;
+  }
+  ASSERT_TRUE(ws.Commit().ok());
+  expect_column_matches_qppt("after deleting every 7th row");
 }
 
 // LowerStarQuery reads an index name as the column of the same name;
