@@ -1,9 +1,15 @@
 #include "core/base_index.h"
 
+#include <sys/mman.h>
+
 #include <cassert>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <new>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace qppt {
@@ -12,6 +18,73 @@ namespace {
 
 bool KissEligible(const std::vector<ValueType>& key_types) {
   return key_types.size() == 1 && key_types[0] != ValueType::kDouble;
+}
+
+// Scratch array of the clustered build, mapped straight from the OS and
+// unmapped when dropped. Freed through malloc, buffers of this size
+// (tens of MiB per fact-table index) stay cached in its heap and keep
+// adding to the process's resident set after the build.
+template <typename T>
+class ScratchArray {
+ public:
+  explicit ScratchArray(size_t n) : size_(n) {
+    if (n == 0) return;
+    void* mem = ::mmap(nullptr, bytes(), PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mem == MAP_FAILED) throw std::bad_alloc();
+    data_ = static_cast<T*>(mem);
+  }
+  ~ScratchArray() {
+    if (data_ != nullptr) ::munmap(data_, bytes());
+  }
+  ScratchArray(const ScratchArray&) = delete;
+  ScratchArray& operator=(const ScratchArray&) = delete;
+
+  T* data() { return data_; }
+  const T* data() const { return data_; }
+  T& operator[](size_t i) { return data_[i]; }
+  const T& operator[](size_t i) const { return data_[i]; }
+  void swap(ScratchArray& other) {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+  }
+
+ private:
+  size_t bytes() const { return size_ * sizeof(T); }
+
+  T* data_ = nullptr;
+  size_t size_;
+};
+
+// Fills `order` with the input positions 0..n-1 ordered by their
+// `len`-byte keys (position i's key is keys[i * len ...]), bytewise
+// ascending, ties in input order. An LSD radix sort: one stable counting
+// pass per key byte, least significant first, skipping every byte that
+// all keys share. `next` is n entries of scratch.
+void SortPositionsByKey(const ScratchArray<uint8_t>& keys, size_t len,
+                        size_t n, ScratchArray<uint32_t>* order,
+                        ScratchArray<uint32_t>* next) {
+  std::vector<size_t> counts(len * 256, 0);
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t* key = keys.data() + i * len;
+    for (size_t b = 0; b < len; ++b) ++counts[b * 256 + key[b]];
+  }
+  for (size_t i = 0; i < n; ++i) (*order)[i] = static_cast<uint32_t>(i);
+  for (size_t b = len; b-- > 0;) {
+    size_t* count = counts.data() + b * 256;
+    if (n == 0 || count[keys[b]] == n) continue;  // a byte all keys share
+    size_t offset = 0;
+    for (size_t d = 0; d < 256; ++d) {
+      size_t c = count[d];
+      count[d] = offset;
+      offset += c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t pos = (*order)[i];
+      (*next)[count[keys[size_t{pos} * len + b]]++] = pos;
+    }
+    order->swap(*next);
+  }
 }
 
 }  // namespace
@@ -56,19 +129,40 @@ Result<std::unique_ptr<BaseIndex>> BaseIndex::BuildLive(
 
 void BaseIndex::InsertLive(Rid rid) {
   assert(mvcc_ != nullptr && !clustered());
-  if (kind_ == Kind::kKiss) {
-    kiss_->Insert(KissKeyOf(table_->GetSlot(rid, key_cols_[0])), rid);
-  } else {
-    KeyBuf key;
-    uint64_t slots[KeyBuf::kCapacity / 8];
-    for (size_t i = 0; i < key_cols_.size(); ++i) {
-      slots[i] = table_->GetSlot(rid, key_cols_[i]);
-    }
-    EncodeKey(slots, &key);
-    prefix_->Insert(key.data(), rid);
-  }
+  InsertRow(rid, rid);
   // relaxed: advisory counter; the tree publish carries the data.
   num_rows_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void BaseIndex::EncodeRowKey(Rid rid, KeyBuf* out) const {
+  if (kind_ == Kind::kKiss) {
+    out->clear();
+    out->AppendU32(KissKeyOf(table_->GetSlot(rid, key_cols_[0])));
+    return;
+  }
+  uint64_t slots[KeyBuf::kCapacity / 8];
+  for (size_t i = 0; i < key_cols_.size(); ++i) {
+    slots[i] = table_->GetSlot(rid, key_cols_[i]);
+  }
+  EncodeKey(slots, out);
+}
+
+void BaseIndex::InsertRow(Rid rid, uint64_t value) {
+  if (kind_ == Kind::kKiss) {
+    kiss_->Insert(KissKeyOf(table_->GetSlot(rid, key_cols_[0])), value);
+    return;
+  }
+  KeyBuf key;
+  EncodeRowKey(rid, &key);
+  prefix_->Insert(key.data(), value);
+}
+
+void BaseIndex::InsertEncoded(const uint8_t* key, uint64_t value) {
+  if (kind_ == Kind::kKiss) {
+    kiss_->Insert(DecodeU32(key), value);
+  } else {
+    prefix_->Insert(key, value);
+  }
 }
 
 Status BaseIndex::Init(const RowTable* table, const std::vector<Rid>* rids,
@@ -107,39 +201,55 @@ Status BaseIndex::Init(const RowTable* table, const std::vector<Rid>* rids,
   }
   heap_width_ = clustered() ? 1 + included_cols_.size() : 0;
 
-  size_t indexed = 0;
-  auto index_row = [&](Rid rid) {
-    uint64_t value;
-    if (clustered()) {
-      value = heap_.size() / heap_width_;
-      heap_.push_back(rid);
-      for (size_t col : included_cols_) {
-        heap_.push_back(table_->GetSlot(rid, col));
-      }
-    } else {
-      value = rid;
-    }
-    if (kind_ == Kind::kKiss) {
-      kiss_->Insert(KissKeyOf(table_->GetSlot(rid, key_cols_[0])), value);
-    } else {
-      KeyBuf key;
-      uint64_t slots[KeyBuf::kCapacity / 8];
-      for (size_t i = 0; i < key_cols_.size(); ++i) {
-        slots[i] = table_->GetSlot(rid, key_cols_[i]);
-      }
-      EncodeKey(slots, &key);
-      prefix_->Insert(key.data(), value);
-    }
-    ++indexed;
+  const size_t n = rids != nullptr ? rids->size() : table->num_rows();
+  auto rid_at = [&](size_t i) -> Rid {
+    return rids != nullptr ? (*rids)[i] : static_cast<Rid>(i);
   };
+  if (!clustered()) {
+    // Secondary: the value is the rid, inserted in input order.
+    for (size_t i = 0; i < n; ++i) InsertRow(rid_at(i), rid_at(i));
+    // relaxed: bulk build completes before the index is shared.
+    num_rows_.store(n, std::memory_order_relaxed);
+    return Status::OK();
+  }
 
-  if (rids != nullptr) {
-    for (Rid rid : *rids) index_row(rid);
-  } else {
-    for (Rid rid = 0; rid < table->num_rows(); ++rid) index_row(rid);
+  // Clustered: partial records go to the heap in key order (ties in
+  // input order), so ordinal r is the r-th row in key order and a
+  // key-ordered scan streams the heap. Read the keys once in input
+  // order and radix-sort the positions; insert the keys in ascending
+  // order; then scatter each partial record, read in input order, to
+  // its rank. The sort buffers are freed before the heap is sized.
+  if (n > std::numeric_limits<uint32_t>::max()) {
+    return Status::InvalidArgument(
+        "a clustered base index holds at most 2^32 - 1 rows");
+  }
+  ScratchArray<uint32_t> rank(n);
+  {
+    const size_t len = kind_ == Kind::kKiss ? 4 : key_cols_.size() * 8;
+    ScratchArray<uint8_t> keys(n * len);
+    KeyBuf key;
+    for (size_t i = 0; i < n; ++i) {
+      EncodeRowKey(rid_at(i), &key);
+      std::memcpy(keys.data() + i * len, key.data(), len);
+    }
+    ScratchArray<uint32_t> order(n);
+    SortPositionsByKey(keys, len, n, &order, &rank);
+    for (uint32_t r = 0; r < n; ++r) {
+      InsertEncoded(keys.data() + size_t{order[r]} * len, r);
+      rank[order[r]] = r;
+    }
+  }
+  heap_.resize(n * heap_width_);
+  for (size_t i = 0; i < n; ++i) {
+    const Rid rid = rid_at(i);
+    uint64_t* record = heap_.data() + size_t{rank[i]} * heap_width_;
+    record[0] = rid;
+    for (size_t c = 0; c < included_cols_.size(); ++c) {
+      record[1 + c] = table_->GetSlot(rid, included_cols_[c]);
+    }
   }
   // relaxed: bulk build completes before the index is shared.
-  num_rows_.store(indexed, std::memory_order_relaxed);
+  num_rows_.store(n, std::memory_order_relaxed);
   return Status::OK();
 }
 

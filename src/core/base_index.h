@@ -8,7 +8,11 @@
 //   - partially clustered index: payload = rid plus a partial record of
 //     "included" columns, stored packed next to the index. Operators read
 //     join/selection/grouping attributes without touching the base table —
-//     the paper's main lever for sequential-speed selections.
+//     the paper's main lever for sequential-speed selections. The build
+//     lays the partial records out in the tree's key order (ties in input
+//     order), and a clustered index's values are these key-order
+//     ordinals: a key-ordered scan (ForEachValue, ranges, synchronous
+//     scans) visits ascending ordinals and so streams the heap.
 //
 // Base indexes respect transactional isolation: BuildFromSnapshot indexes
 // the rows visible to an MVCC snapshot.
@@ -113,8 +117,9 @@ class BaseIndex {
   // --- attribute access ------------------------------------------------------
   //
   // Index *values* are opaque 64-bit handles: the rid for secondary
-  // indexes, a partial-record ordinal for clustered ones. An Accessor
-  // resolves one column against a value; binding happens once per query.
+  // indexes, a partial-record ordinal (the row's rank in key order) for
+  // clustered ones. An Accessor resolves one column against a value;
+  // binding happens once per query.
 
   class Accessor {
    public:
@@ -253,6 +258,14 @@ class BaseIndex {
               std::vector<std::string> key_columns,
               std::vector<std::string> included_columns, Options options);
 
+  // The tree key of row `rid`: the 4-byte big-endian KissKeyOf for a KISS
+  // tree, the EncodeKey bytes for a prefix tree. Bytewise order is the
+  // tree's scan order.
+  void EncodeRowKey(Rid rid, KeyBuf* out) const;
+  void InsertEncoded(const uint8_t* key, uint64_t value);
+  // Inserts `value` under row `rid`'s key (a KISS key goes in directly).
+  void InsertRow(Rid rid, uint64_t value);
+
   Kind kind_ = Kind::kPrefix;
   const RowTable* table_ = nullptr;
   std::vector<std::string> key_names_;
@@ -262,7 +275,8 @@ class BaseIndex {
   std::vector<size_t> included_cols_;
   std::unique_ptr<KissTree> kiss_;
   std::unique_ptr<PrefixTree> prefix_;
-  // Partial records: heap_width_ slots per entry = [rid, included...].
+  // Partial records in key order: heap_width_ slots per entry =
+  // [rid, included...]; entry r belongs to ordinal r.
   std::vector<uint64_t> heap_;
   size_t heap_width_ = 0;
   // Relaxed atomic: live indexes grow under the database write lock

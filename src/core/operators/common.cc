@@ -105,6 +105,7 @@ Result<std::vector<BoundAssist>> BindAssists(
   std::vector<BoundAssist> bound_assists;
   for (const auto& aspec : assists) {
     BoundAssist bound;
+    bound.name = aspec.index.name;
     QPPT_ASSIGN_OR_RETURN(
         bound.side, BoundSide::Bind(ctx, aspec.index, aspec.carry_columns));
     // The probe column must already be assembled when this assist runs.
@@ -127,8 +128,20 @@ CandidatePipeline::CandidatePipeline(const PipelineShape& shape,
       output_(output),
       key_positions_(shape.key_positions),
       key_slots_(key_positions_.size()),
-      buffer_rows_(shape.buffer_rows < 1 ? 1 : shape.buffer_rows) {
+      buffer_rows_(shape.buffer_rows < 1 ? 1 : shape.buffer_rows),
+      funnel_(assists_.size()) {
   candidates_.reserve(buffer_rows_ * width_);
+}
+
+void CandidatePipeline::AddFunnelTo(OperatorStats* stats) const {
+  stats->candidate_rows += candidate_rows_;
+  stats->funnel.resize(funnel_.size());
+  for (size_t i = 0; i < funnel_.size(); ++i) {
+    stats->funnel[i].index = assists_[i].name;
+    stats->funnel[i].rows_in += funnel_[i].rows_in;
+    stats->funnel[i].rows_out += funnel_[i].rows_out;
+  }
+  stats->inserted_rows += inserted_rows_;
 }
 
 uint64_t* CandidatePipeline::AddRow() {
@@ -141,9 +154,12 @@ void CandidatePipeline::Process() {
   if (candidates_.empty()) return;
   Timer phase;
   std::vector<uint64_t>* rows = &candidates_;
-  for (auto& assist : assists_) {
+  candidate_rows_ += rows->size() / width_;
+  for (size_t a = 0; a < assists_.size(); ++a) {
+    const BoundAssist& assist = assists_[a];
     size_t n = rows->size() / width_;
     if (n == 0) break;
+    funnel_[a].rows_in += n;
     next_stage_.clear();
     const KissTree* kiss = assist.side.kiss();
     auto expand = [&](const uint64_t* row, uint64_t assist_value) {
@@ -214,11 +230,13 @@ void CandidatePipeline::Process() {
       }
     }
     rows->swap(next_stage_);
+    funnel_[a].rows_out += rows->size() / width_;
   }
   materialize_ms_ += phase.ElapsedMs();
 
   phase.Restart();
   size_t n = rows->size() / width_;
+  inserted_rows_ += n;
   const bool aggregating = !key_positions_.empty();
   for (size_t i = 0; i < n; ++i) {
     const uint64_t* row = rows->data() + i * width_;

@@ -230,6 +230,7 @@ struct AssistSpec {
 };
 
 struct BoundAssist {
+  std::string name;  // the assisting index or slot (funnel label)
   BoundSide side;
   size_t probe_pos = 0;     // position of the probe key in the assembled row
   size_t carry_offset = 0;  // where carried columns land in the row
@@ -271,6 +272,9 @@ class CandidatePipeline {
   double materialize_ms() const { return materialize_ms_; }
   double index_ms() const { return index_ms_; }
 
+  // Adds this pipeline's funnel counts to `stats`.
+  void AddFunnelTo(OperatorStats* stats) const;
+
  private:
   void Process();
 
@@ -287,6 +291,9 @@ class CandidatePipeline {
   std::vector<KeyBuf> prefix_keys_;
   double materialize_ms_ = 0;
   double index_ms_ = 0;
+  uint64_t candidate_rows_ = 0;
+  std::vector<AssistFunnel> funnel_;  // one per assist
+  uint64_t inserted_rows_ = 0;
 };
 
 // ---- the scan runner --------------------------------------------------------
@@ -318,7 +325,8 @@ struct alignas(64) ScanSink {
 // the site (parallel only) before every morsel and merge shard. Fills
 // the scan fields of `stats`: morsels, materialize_ms and index_ms (of
 // the slowest worker — the critical path, comparable to total_ms),
-// merge_ms and merge_morsels.
+// merge_ms and merge_morsels, and the candidate funnel summed over the
+// workers.
 template <typename Scan>
 void RunScan(const ExecContext& ctx, const std::string& label,
              const PipelineShape& shape, uint64_t split_tuples,
@@ -330,6 +338,7 @@ void RunScan(const ExecContext& ctx, const std::string& label,
       stats->materialize_ms =
           std::max(stats->materialize_ms, sink.pipeline.materialize_ms());
       stats->index_ms = std::max(stats->index_ms, sink.pipeline.index_ms());
+      sink.pipeline.AddFunnelTo(stats);
     }
   };
   if (ctx.worker_pool() == nullptr || ctx.knobs().threads <= 1 ||

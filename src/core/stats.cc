@@ -5,6 +5,16 @@
 
 namespace qppt {
 
+std::string OperatorStats::FunnelString() const {
+  if (candidate_rows == 0 && inserted_rows == 0) return "";
+  std::string out = std::to_string(candidate_rows);
+  for (const AssistFunnel& stage : funnel) {
+    out += " -> " + stage.index + " " + std::to_string(stage.rows_out);
+  }
+  out += " -> " + std::to_string(inserted_rows) + " inserted";
+  return out;
+}
+
 std::string PlanStats::ToString() const {
   std::string out;
   char line[256];
@@ -28,6 +38,8 @@ std::string PlanStats::ToString() const {
       out += op.output_desc;
       out += "\n";
     }
+    const std::string funnel = op.FunnelString();
+    if (!funnel.empty()) out += "    funnel: " + funnel + "\n";
   }
   std::snprintf(line, sizeof(line),
                 "%-28s %9.2f  (wall %.2f ms, %zu thread%s, %llu morsels, "

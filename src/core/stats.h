@@ -34,6 +34,14 @@ class Timer {
   Clock::time_point start_;
 };
 
+// Rows entering and surviving one assist probe of a scan operator's
+// candidate pipeline (§4.2).
+struct AssistFunnel {
+  std::string index;  // the assisting index or slot
+  uint64_t rows_in = 0;
+  uint64_t rows_out = 0;
+};
+
 struct OperatorStats {
   std::string name;
   std::string output_desc;       // e.g. "kiss(orderdate) 1.2M tuples"
@@ -51,6 +59,19 @@ struct OperatorStats {
   uint64_t morsels = 0;          // engine morsels executed (0 = serial path)
   uint64_t merge_morsels = 0;    // partitioned-merge shards, plain or
                                  // aggregated (0 = serial merge)
+  // The candidate funnel of a scan operator (selection, select-join,
+  // star join), summed over workers: the rows its scan staged, each
+  // assist's rows in and out in probe order, and the rows inserted into
+  // the output. The counts chain: candidate_rows is the first assist's
+  // rows_in, each rows_out the next rows_in, the last rows_out (or
+  // candidate_rows, with no assist) inserted_rows.
+  uint64_t candidate_rows = 0;
+  std::vector<AssistFunnel> funnel;
+  uint64_t inserted_rows = 0;
+
+  // "1195912 -> supp_sel 232339 -> part_sel 92790 -> 92790 inserted";
+  // empty for operators without a candidate pipeline.
+  std::string FunnelString() const;
 };
 
 struct PlanStats {

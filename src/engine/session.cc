@@ -696,6 +696,8 @@ Result<std::string> EngineRunner::ExplainAnalyze(const Database& db,
                     static_cast<unsigned long long>(op.merge_morsels));
       out += buf;
     }
+    const std::string funnel = op.FunnelString();
+    if (!funnel.empty()) out += " | funnel " + funnel;
     out += "\n";
   }
   std::snprintf(buf, sizeof(buf),

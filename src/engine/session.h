@@ -121,11 +121,11 @@ class EngineRunner {
   // EXPLAIN ANALYZE: plans `spec`, executes it through the normal
   // admission path, and returns the ExplainPlan rendering with each
   // stage line followed by that stage's executed statistics (wall time,
-  // cardinalities, morsel/merge counts) plus a trailing execution
-  // summary. The planner's stage labels guarantee the explain lines and
-  // the PlanStats rows align line-for-line. `stats`, when given,
-  // receives the same executed statistics (including the trace handle
-  // when knobs.trace is set).
+  // cardinalities, morsel/merge counts, the candidate funnel) plus a
+  // trailing execution summary. The planner's stage labels guarantee the
+  // explain lines and the PlanStats rows align line-for-line. `stats`,
+  // when given, receives the same executed statistics (including the
+  // trace handle when knobs.trace is set).
   [[nodiscard]] Result<std::string> ExplainAnalyze(
       const Database& db, const query::QuerySpec& spec,
       PlanKnobs knobs = PlanKnobs{}, PlanStats* stats = nullptr);

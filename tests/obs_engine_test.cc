@@ -188,5 +188,81 @@ TEST_F(ObsEngineTest, ReusedPlanStatsDescribeOnlyTheLastRun) {
   EXPECT_EQ(stats.operators.size(), first_ops);
 }
 
+// The candidate funnel of SF-0.01 Q4.1 on both base-index families: per
+// operator the counts chain (staged -> each assist -> inserted), the star
+// join's assists cut the candidates down, and the serial and the
+// 4-worker run count exactly the same rows. ToString and ExplainAnalyze
+// print it.
+TEST(CandidateFunnelTest, Q41FunnelChainsAndMatchesAcrossThreads) {
+  for (bool kiss : {true, false}) {
+    SCOPED_TRACE(kiss ? "kiss" : "prefix");
+    SsbConfig cfg;
+    cfg.scale_factor = 0.01;
+    cfg.seed = 11;
+    cfg.prefer_kiss = kiss;
+    auto data = Generate(cfg);
+    ASSERT_TRUE(data.ok()) << data.status();
+    PlanKnobs knobs;
+    knobs.table_options.prefer_kiss = kiss;
+
+    std::vector<PlanStats> runs;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      engine::EngineConfig ecfg;
+      ecfg.threads = threads;
+      ecfg.clamp_threads_to_hardware = false;
+      engine::EngineRunner runner(ecfg);
+      PlanStats stats;
+      auto result = RunQppt(runner, **data, "4.1", knobs, &stats);
+      ASSERT_TRUE(result.ok()) << result.status();
+      runs.push_back(std::move(stats));
+    }
+
+    const PlanStats& serial = runs[0];
+    const PlanStats& parallel = runs[1];
+    ASSERT_EQ(serial.operators.size(), parallel.operators.size());
+    EXPECT_GT(parallel.TotalMorsels(), 0u) << "the t=4 run must fork";
+    const OperatorStats* star = nullptr;
+    for (size_t i = 0; i < serial.operators.size(); ++i) {
+      const OperatorStats& op = serial.operators[i];
+      SCOPED_TRACE(op.name);
+      uint64_t rows = op.candidate_rows;
+      for (const AssistFunnel& stage : op.funnel) {
+        EXPECT_EQ(stage.rows_in, rows) << stage.index;
+        EXPECT_LE(stage.rows_out, stage.rows_in) << stage.index;
+        rows = stage.rows_out;
+      }
+      EXPECT_EQ(op.inserted_rows, rows);
+
+      const OperatorStats& par = parallel.operators[i];
+      EXPECT_EQ(par.candidate_rows, op.candidate_rows);
+      EXPECT_EQ(par.inserted_rows, op.inserted_rows);
+      ASSERT_EQ(par.funnel.size(), op.funnel.size());
+      for (size_t a = 0; a < op.funnel.size(); ++a) {
+        EXPECT_EQ(par.funnel[a].index, op.funnel[a].index);
+        EXPECT_EQ(par.funnel[a].rows_in, op.funnel[a].rows_in);
+        EXPECT_EQ(par.funnel[a].rows_out, op.funnel[a].rows_out);
+      }
+      if (op.funnel.size() >= 2) star = &op;
+    }
+    // Q4.1's star join probes supplier and part assists; each drops rows.
+    ASSERT_NE(star, nullptr) << serial.ToString();
+    EXPECT_GT(star->candidate_rows, star->funnel[0].rows_out);
+    EXPECT_GT(star->funnel[0].rows_out, star->funnel.back().rows_out);
+    EXPECT_GT(star->inserted_rows, 0u);
+    EXPECT_NE(serial.ToString().find("    funnel: " + star->FunnelString()),
+              std::string::npos)
+        << serial.ToString();
+
+    engine::EngineRunner runner(engine::EngineConfig{});
+    auto spec = BuildQuerySpec(**data, "4.1");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    auto analyze = runner.ExplainAnalyze((*data)->db, *spec, knobs);
+    ASSERT_TRUE(analyze.ok()) << analyze.status();
+    EXPECT_NE(analyze->find(" | funnel " + star->FunnelString()),
+              std::string::npos)
+        << *analyze;
+  }
+}
+
 }  // namespace
 }  // namespace qppt::ssb

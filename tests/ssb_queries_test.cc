@@ -12,6 +12,7 @@
 #include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "baseline/common.h"
@@ -24,22 +25,31 @@
 namespace qppt::ssb {
 namespace {
 
-SsbConfig TestConfig(bool prefer_kiss, bool build_indexes = true) {
+constexpr uint64_t kSeed = 11;
+// A second dbgen seed for the differential cases: the clustered base
+// indexes store rows in key order, and with other data the key order
+// departs from the rid order in other places.
+constexpr uint64_t kSecondSeed = 23;
+
+SsbConfig TestConfig(bool prefer_kiss, bool build_indexes = true,
+                     uint64_t seed = kSeed) {
   SsbConfig cfg;
   cfg.scale_factor = 0.02;  // ~120k lineorder rows
-  cfg.seed = 11;
+  cfg.seed = seed;
   cfg.prefer_kiss = prefer_kiss;
   cfg.build_indexes = build_indexes;
   return cfg;
 }
 
-// The SF-0.02 instance for one base-index family, generated once per
-// binary: KISS trees (the default) or generalized prefix trees.
-SsbData& FamilyData(bool kiss) {
-  static std::unique_ptr<SsbData> instances[2];
-  std::unique_ptr<SsbData>& slot = instances[kiss ? 1 : 0];
+// The SF-0.02 instance for one base-index family and dbgen seed,
+// generated once per binary: KISS trees (the default) or generalized
+// prefix trees.
+SsbData& FamilyData(bool kiss, uint64_t seed = kSeed) {
+  static std::map<std::pair<bool, uint64_t>, std::unique_ptr<SsbData>>
+      instances;
+  std::unique_ptr<SsbData>& slot = instances[{kiss, seed}];
   if (slot == nullptr) {
-    auto generated = Generate(TestConfig(kiss));
+    auto generated = Generate(TestConfig(kiss, true, seed));
     EXPECT_TRUE(generated.ok()) << generated.status();
     slot = std::move(*generated);
   }
@@ -85,13 +95,14 @@ void ExpectSameResults(const QueryResult& a, const QueryResult& b,
   }
 }
 
-using FamilyAndId = std::tuple<bool, std::string>;  // (kiss, query id)
+// (dbgen seed, kiss, query id)
+using SeedFamilyAndId = std::tuple<uint64_t, bool, std::string>;
 
-class SsbQueryParam : public ::testing::TestWithParam<FamilyAndId> {};
+class SsbQueryParam : public ::testing::TestWithParam<SeedFamilyAndId> {};
 
 TEST_P(SsbQueryParam, ThreeEnginesAgree) {
-  const auto& [kiss, id] = GetParam();
-  SsbData& data = FamilyData(kiss);
+  const auto& [seed, kiss, id] = GetParam();
+  SsbData& data = FamilyData(kiss, seed);
   auto qppt_result = RunQppt(data, id, FamilyKnobs(kiss));
   ASSERT_TRUE(qppt_result.ok()) << qppt_result.status();
   auto column_result = RunColumn(data, id);
@@ -111,15 +122,25 @@ TEST_P(SsbQueryParam, ThreeEnginesAgree) {
 
 std::string FamilyLabel(bool kiss) { return kiss ? "Kiss" : "Prefix"; }
 
+std::string SeedFamilyAndIdName(
+    const ::testing::TestParamInfo<SeedFamilyAndId>& i) {
+  std::string name =
+      FamilyLabel(std::get<1>(i.param)) + "_Q" + std::get<2>(i.param);
+  name[name.find('.')] = '_';
+  return name;
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllQueries, SsbQueryParam,
-    ::testing::Combine(::testing::Bool(), ::testing::ValuesIn(AllQueryIds())),
-    [](const ::testing::TestParamInfo<FamilyAndId>& i) {
-      std::string name = FamilyLabel(std::get<0>(i.param)) + "_Q" +
-                         std::get<1>(i.param);
-      name[name.find('.')] = '_';
-      return name;
-    });
+    ::testing::Combine(::testing::Values(kSeed), ::testing::Bool(),
+                       ::testing::ValuesIn(AllQueryIds())),
+    SeedFamilyAndIdName);
+
+INSTANTIATE_TEST_SUITE_P(
+    SecondSeed, SsbQueryParam,
+    ::testing::Combine(::testing::Values(kSecondSeed), ::testing::Bool(),
+                       ::testing::ValuesIn(AllQueryIds())),
+    SeedFamilyAndIdName);
 
 // ---- non-SSB star specs through all three engines ---------------------------
 //
