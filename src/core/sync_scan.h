@@ -23,6 +23,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "index/kiss_tree.h"
@@ -78,13 +79,6 @@ void SynchronousScan(const KissTree& left, const KissTree& right, F&& fn) {
 
 namespace internal {
 
-// Finds `key` within the subtree rooted at `node` (whose first fragment
-// starts at `bit_off`). Mirrors PrefixTree::Find but starts mid-tree.
-const PrefixTree::ContentNode* FindInSubtree(const PrefixTree& tree,
-                                             const PrefixTree::Node* node,
-                                             size_t bit_off,
-                                             const uint8_t* key);
-
 template <typename F>
 void SyncScanRec(const PrefixTree& left, const PrefixTree& right,
                  const PrefixTree::Node* lnode,
@@ -109,13 +103,13 @@ void SyncScanSlotPair(const PrefixTree& left, const PrefixTree& right,
     // Left content vs right subtree: the content key either exists in
     // the right subtree or the pair has no matches here.
     const auto* a = PrefixTree::AsContent(ls);
-    const auto* b = internal::FindInSubtree(
-        right, PrefixTree::AsNode(rs), bit_off + width, a->key());
+    const auto* b =
+        right.FindBelow(PrefixTree::AsNode(rs), bit_off + width, a->key());
     if (b != nullptr) fn(a->key(), left.ValuesOf(a), right.ValuesOf(b));
   } else if (rc) {
     const auto* b = PrefixTree::AsContent(rs);
-    const auto* a = internal::FindInSubtree(
-        left, PrefixTree::AsNode(ls), bit_off + width, b->key());
+    const auto* a =
+        left.FindBelow(PrefixTree::AsNode(ls), bit_off + width, b->key());
     if (a != nullptr) fn(b->key(), left.ValuesOf(a), right.ValuesOf(b));
   } else {
     SyncScanRec(left, right, PrefixTree::AsNode(ls), PrefixTree::AsNode(rs),
@@ -208,6 +202,75 @@ inline PairScanLevel FindPairScanLevel(const PrefixTree& left,
     rnode = PrefixTree::AsNode(rs);
     bit_off += width;
   }
+}
+
+// Deeper pair morsels. A branching level with fewer jointly populated
+// slots than the engine wants morsels (SSB's dimension keys branch into
+// a handful of subtrees) would leave workers idle, so
+// SplitPairScanLevel descends below it: each round replaces every
+// inner x inner pair by its children's jointly populated slots, until
+// the pairs reach `target` or none can split further. Pairs with a
+// content node on either side stay whole. The result is a list of
+// levels, each with the slot list of one node pair, in ascending key
+// order; their pairs together cover exactly the keys the input level
+// covers, so scanning every level's slots with SynchronousScanPairSlots
+// visits exactly what SynchronousScan visits. Each morsel stays a slice
+// of one level's slot list.
+inline std::vector<PairScanLevel> SplitPairScanLevel(const PrefixTree& left,
+                                                     PairScanLevel level,
+                                                     size_t target) {
+  std::vector<PairScanLevel> levels;
+  if (level.slots.empty()) return levels;
+  size_t key_bits = left.key_len() * 8;
+  size_t pairs = level.slots.size();
+  levels.push_back(std::move(level));
+  while (pairs < target) {
+    std::vector<PairScanLevel> next;
+    size_t next_pairs = 0;
+    bool split = false;
+    for (const PairScanLevel& lv : levels) {
+      // Consecutive unsplittable slots stay together at this level.
+      PairScanLevel whole{lv.lnode, lv.rnode, lv.bit_off, lv.width, {}};
+      auto flush_whole = [&] {
+        if (whole.slots.empty()) return;
+        next_pairs += whole.slots.size();
+        next.push_back(whole);
+        whole.slots.clear();
+      };
+      for (size_t i : lv.slots) {
+        PrefixTree::Slot ls = PrefixTree::LoadSlot(&lv.lnode->slots[i]);
+        PrefixTree::Slot rs = PrefixTree::LoadSlot(&lv.rnode->slots[i]);
+        if (PrefixTree::IsContent(ls) || PrefixTree::IsContent(rs)) {
+          whole.slots.push_back(i);
+          continue;
+        }
+        flush_whole();
+        split = true;
+        PairScanLevel child;
+        child.lnode = PrefixTree::AsNode(ls);
+        child.rnode = PrefixTree::AsNode(rs);
+        child.bit_off = lv.bit_off + lv.width;
+        child.width = std::min(left.config().kprime, key_bits - child.bit_off);
+        size_t fanout = size_t{1} << child.width;
+        for (size_t c = 0; c < fanout; ++c) {
+          if (PrefixTree::LoadSlot(&child.lnode->slots[c]) != 0 &&
+              PrefixTree::LoadSlot(&child.rnode->slots[c]) != 0) {
+            child.slots.push_back(c);
+          }
+        }
+        // A pair of subtrees with no jointly populated child holds no
+        // match and drops out.
+        if (child.slots.empty()) continue;
+        next_pairs += child.slots.size();
+        next.push_back(std::move(child));
+      }
+      flush_whole();
+    }
+    if (!split) break;
+    levels = std::move(next);
+    pairs = next_pairs;
+  }
+  return levels;
 }
 
 // Scans the subtree pairs behind level.slots[begin..end) (indexes into

@@ -194,24 +194,41 @@ size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
   return ranges.size();
 }
 
-// Pair-partitions two prefix trees at their branching level
-// (FindPairScanLevel, core/sync_scan.h) and runs
-// fn(worker, level, begin, end) for each slot-list slice on the pool —
-// the driver of the parallel prefix-tree star join; the callback scans
-// its slice with SynchronousScanPairSlots. Returns the number of
-// morsels executed (0 = the trees share no subtree). Templated for the
-// same no-type-erasure reason as RunKissRangeMorsels above.
+// Pair-partitions two prefix trees below their branching level
+// (FindPairScanLevel, then SplitPairScanLevel down to the site's morsel
+// target, core/sync_scan.h) and runs fn(worker, level, begin, end) for
+// each slot-list slice on the pool — the driver of the parallel
+// prefix-tree star join; the callback scans its slice with
+// SynchronousScanPairSlots. Each level's slot list gets its share of
+// the `target` morsels by pair count (at least one). Returns the number
+// of morsels
+// executed (0 = the trees share no subtree). Templated for the same
+// no-type-erasure reason as RunKissRangeMorsels above.
 template <typename Fn>
 size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
                             const PrefixTree& right, const Fn& fn) {
-  PairScanLevel level = FindPairScanLevel(left, right);
-  if (level.slots.empty()) return 0;
-  auto slices = SplitEvenly(
-      level.slots.size(), site.tuner->MorselTarget(site.pool->num_workers()));
-  RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
-    fn(worker, level, slices[m].first, slices[m].second);
+  const size_t target = site.tuner->MorselTarget(site.pool->num_workers());
+  std::vector<PairScanLevel> levels =
+      SplitPairScanLevel(left, FindPairScanLevel(left, right), target);
+  size_t pairs = 0;
+  for (const PairScanLevel& level : levels) pairs += level.slots.size();
+  if (pairs == 0) return 0;
+  struct Morsel {
+    size_t level, begin, end;
+  };
+  std::vector<Morsel> morsels;
+  for (size_t l = 0; l < levels.size(); ++l) {
+    const size_t n = levels[l].slots.size();
+    const size_t share = (target * n + pairs - 1) / pairs;
+    for (auto [begin, end] : SplitEvenly(n, share)) {
+      morsels.push_back({l, begin, end});
+    }
+  }
+  RunTimedMorsels(site, morsels.size(), [&](size_t worker, size_t m) {
+    const Morsel& mo = morsels[m];
+    fn(worker, levels[mo.level], mo.begin, mo.end);
   });
-  return slices.size();
+  return morsels.size();
 }
 
 // Values per slice morsel when the gather fallback below kicks in.

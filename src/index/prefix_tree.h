@@ -26,6 +26,37 @@
 // acquire loads, and the tree never rebalances (§7), so a published slot
 // is immutable except for the RCU-style dynamic-expansion swap, which
 // builds the replacement chain detached and publishes it with one store.
+//
+// Chain skip. Order-preserving encodings of small domains give every key
+// the same leading bits (an int64 date is 0x80000000_0001xxxx), so the
+// top of the tree is a chain of single-slot inner nodes that every walk
+// pays one dependent load per level for. The tree publishes an immutable
+// skip descriptor {node, level, prefix}: every key in the tree starts
+// with the descriptor's leading bits, and `node` is the inner node those
+// bits lead to from the root — the deepest common ancestor of all keys.
+// Walks (Find, Lookup, BatchLookup, and the insert walk) compare the
+// probe's leading bits with the prefix (one word compare for keys of at
+// most 8 bytes, else one memcmp plus a mask) and start at `node` on a
+// match. The contract:
+//   * Inner nodes are never replaced once published, so a descriptor
+//     stays valid forever; a later one only differs in depth.
+//   * A prefix mismatch walks from the root and never answers "miss"
+//     directly: the writer publishes a key's slot before the descriptor
+//     that covers it, so a reader may hold a descriptor older than keys
+//     it can already reach.
+//   * The single writer republishes (new descriptor from the node arena,
+//     release store) when a key branches above the descriptor and when a
+//     second key goes into a one-key tree — the only inserts that move
+//     the deepest common ancestor.
+//   * A partitioned parallel merge (BeginConcurrentInserts ...
+//     EndConcurrentInserts) only reads the descriptor; EndConcurrentInserts
+//     recomputes it once the workers have joined.
+//
+// Word walk. Keys of at most 8 bytes are walked as one big-endian word:
+// a per-level table built at construction holds each level's fragment
+// shift and mask, so a level costs a shift, a mask and the slot load.
+// Longer keys read each level's fragment from the key bytes at the
+// table's bit offset.
 
 #ifndef QPPT_INDEX_PREFIX_TREE_H_
 #define QPPT_INDEX_PREFIX_TREE_H_
@@ -93,6 +124,27 @@ class PrefixTree {
     __atomic_store_n(p, v, __ATOMIC_RELEASE);
   }
 
+  // One level of the walk: its fragment's bit offset and width, and for
+  // keys of at most 8 bytes the right shift that brings the fragment of
+  // the left-aligned key word to the low bits.
+  struct Level {
+    uint16_t bit_off = 0;
+    uint8_t width = 0;
+    uint8_t shift = 0;
+    uint32_t mask = 0;
+  };
+
+  // The chain-skip descriptor (see the file comment). Immutable once
+  // published; allocated from the node arena.
+  struct Skip {
+    Node* node = nullptr;     // deepest common ancestor of all keys
+    uint32_t level = 0;       // node's level: level(level).bit_off == bit_off
+    uint32_t bit_off = 0;     // leading key bits every key shares
+    uint64_t word = 0;        // key_len <= 8: the prefix, left-aligned
+    uint64_t word_mask = 0;   // key_len <= 8: its leading bit_off bits
+    uint8_t prefix[KeyBuf::kCapacity] = {};  // the prefix bytes
+  };
+
   // ----------------------------------------------------------------------
 
   explicit PrefixTree(Config config);
@@ -114,6 +166,10 @@ class PrefixTree {
     return num_inner_nodes_.load(std::memory_order_relaxed);
   }
   const Node* root() const { return root_; }
+  const Level& level(size_t i) const { return levels_[i]; }
+
+  // The current chain-skip descriptor (never nullptr).
+  const Skip& skip() const { return *LoadSkip(); }
 
   // Total bytes reserved by the tree's arenas.
   size_t MemoryUsage() const {
@@ -148,6 +204,12 @@ class PrefixTree {
   // Returns the content node for `key`, or nullptr. Payload access via
   // PayloadOf / ValuesOf.
   const ContentNode* Find(const uint8_t* key) const;
+
+  // Find within the subtree rooted at `node`, whose fragment starts at
+  // level boundary `bit_off` (the synchronous scan's content-vs-subtree
+  // probe).
+  const ContentNode* FindBelow(const Node* node, size_t bit_off,
+                               const uint8_t* key) const;
 
   // Content nodes holding the smallest / largest key (nullptr when
   // empty). The walk follows the extreme populated slot per level — the
@@ -212,15 +274,12 @@ class PrefixTree {
   struct LookupJob {
     const uint8_t* key = nullptr;       // in: key to look up
     const ContentNode* result = nullptr;  // out: content node or nullptr
-    // internal state
-    const Node* node = nullptr;
-    uint32_t bit_off = 0;
-    bool done = false;
   };
 
-  // Level-synchronous batch lookup with software prefetching: all jobs
-  // advance one tree level per round; each child is prefetched one round
-  // before it is dereferenced, hiding main-memory latency.
+  // Level-synchronous batch lookup with software prefetching: jobs start
+  // below the chain skip and advance one tree level per round, in waves
+  // of 32; each child is prefetched one round before it is dereferenced,
+  // hiding main-memory latency.
   void BatchLookup(std::span<LookupJob> jobs) const;
 
   // Batched insert (kValues): amortizes call overhead and prefetches the
@@ -247,6 +306,7 @@ class PrefixTree {
   };
 
   void BeginConcurrentInserts();
+  // Closes the window and recomputes the chain-skip descriptor.
   void EndConcurrentInserts();
   // Appends like Insert() (kValues mode), counting into `stats`.
   void InsertForMerge(const uint8_t* key, uint64_t value, MergeStats* stats);
@@ -274,15 +334,35 @@ class PrefixTree {
   void EnsureChainForMerge(const uint8_t* key, size_t branch_bit_off);
 
  private:
+  // A probe key as the walk reads it: keys of at most 8 bytes as one
+  // left-aligned big-endian word, longer keys through their bytes.
+  struct WordKey;
+  struct WideKey;
+
   Node* NewNode(MergeStats* stats);
   ContentNode* NewContent(const uint8_t* key, MergeStats* stats);
   size_t FragWidth(size_t bit_off) const {
     size_t rest = key_bits_ - bit_off;
     return rest < config_.kprime ? rest : config_.kprime;
   }
-  uint32_t Frag(const uint8_t* key, size_t bit_off) const {
-    return ExtractFragment(key, config_.key_len, bit_off, FragWidth(bit_off));
+
+  const Skip* LoadSkip() const {
+    return skip_.load(std::memory_order_acquire);
   }
+  // Recomputes the deepest common ancestor of all keys and publishes a
+  // new descriptor for it if it moved. Single writer only.
+  void RepublishSkip();
+
+  // Calls f(k) with `key` in the walk's representation for this tree.
+  template <typename F>
+  decltype(auto) WithKey(const uint8_t* key, F&& f) const;
+
+  // The read walk from `node` at `level` down to key's content node.
+  template <typename K>
+  const ContentNode* WalkFrom(const K& k, const Node* node,
+                              size_t level) const;
+  template <typename K>
+  void BatchLookupAs(std::span<LookupJob> jobs) const;
 
   // Core walk shared by all insert paths: returns the content node for
   // `key`, creating (and dynamically expanding) as needed. Creations are
@@ -291,6 +371,9 @@ class PrefixTree {
   // into the members immediately.
   ContentNode* FindOrCreateContent(const uint8_t* key, bool* created,
                                    MergeStats* stats);
+  template <typename K>
+  ContentNode* FindOrCreateContentAs(const K& k, const uint8_t* key,
+                                     bool* created, MergeStats* stats);
 
   template <typename F>
   void ScanRec(const Node* node, size_t bit_off, F&& fn) const {
@@ -343,6 +426,11 @@ class PrefixTree {
   Arena node_arena_;
   PageArena dup_arena_;
   Node* root_ = nullptr;
+  Level* levels_ = nullptr;  // num_levels_ entries, from node_arena_
+  size_t num_levels_ = 0;
+  bool word_keys_ = false;   // key_len <= 8: the word walk
+  bool merging_ = false;     // inside Begin/EndConcurrentInserts
+  std::atomic<const Skip*> skip_{nullptr};
   std::atomic<size_t> num_keys_{0};
   std::atomic<size_t> num_inner_nodes_{0};
 };

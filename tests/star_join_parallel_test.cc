@@ -13,14 +13,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/operators/star_join.h"
+#include "core/plan.h"
 #include "core/query/query_spec.h"
+#include "core/sync_scan.h"
 #include "engine/scheduler.h"
 #include "engine/session.h"
 #include "ssb/queries_qppt.h"
+#include "util/rng.h"
 
 namespace qppt::ssb {
 namespace {
@@ -131,6 +136,81 @@ TEST_F(StarJoinParallelTest, PrefixMainsStarJoinRunsMorselParallel) {
     EXPECT_TRUE(join_parallel)
         << "Q" << id << " star join stayed serial:\n" << stats.ToString();
   }
+}
+
+// Deeper pair morsels: small dimension domains put the prefix-tree
+// branching level at a couple of slots, fewer than the workers. The
+// driver descends below it, so a t=4 prefix x prefix star join still runs
+// at least one morsel per worker, with the serial result.
+TEST(StarJoinPairMorselTest, NarrowBranchingLevelStillFeedsEveryWorker) {
+  constexpr size_t kThreads = 4;
+  constexpr int64_t kDimKeys = 300;  // keys 1..300 branch into 2 slots
+  constexpr int64_t kFacts = 20000;
+  Database db;
+  Schema dim_schema({{"key", ValueType::kInt64, nullptr},
+                     {"attr", ValueType::kInt64, nullptr}});
+  auto dim = std::make_unique<RowTable>(dim_schema, "dim");
+  for (int64_t k = 1; k <= kDimKeys; ++k) {
+    uint64_t row[2] = {SlotFromInt64(k), SlotFromInt64(k % 7)};
+    dim->AppendRow(row);
+  }
+  ASSERT_TRUE(db.AddTable(std::move(dim)).ok());
+  Schema fact_schema({{"key", ValueType::kInt64, nullptr},
+                      {"amount", ValueType::kInt64, nullptr}});
+  auto fact = std::make_unique<RowTable>(fact_schema, "fact");
+  Rng rng(11);
+  for (int64_t i = 0; i < kFacts; ++i) {
+    uint64_t row[2] = {
+        SlotFromInt64(1 + static_cast<int64_t>(rng.NextBounded(kDimKeys))),
+        SlotFromInt64(static_cast<int64_t>(rng.NextBounded(1000)))};
+    fact->AppendRow(row);
+  }
+  ASSERT_TRUE(db.AddTable(std::move(fact)).ok());
+  BaseIndex::Options prefix;
+  prefix.prefer_kiss = false;
+  ASSERT_TRUE(db.BuildIndex("dim_pk", "dim", {"key"}, {"attr"}, prefix).ok());
+  ASSERT_TRUE(
+      db.BuildIndex("fact_key", "fact", {"key"}, {"amount"}, prefix).ok());
+  const PrefixTree* fact_tree = db.index("fact_key").value()->prefix();
+  const PrefixTree* dim_tree = db.index("dim_pk").value()->prefix();
+  ASSERT_NE(fact_tree, nullptr);
+  ASSERT_NE(dim_tree, nullptr);
+  ASSERT_LT(FindPairScanLevel(*fact_tree, *dim_tree).slots.size(), kThreads)
+      << "the premise: fewer branching-level pairs than workers";
+
+  StarJoinSpec spec;
+  spec.left = SideRef::Base("fact_key");
+  spec.left_columns = {"key", "amount"};
+  spec.right = SideRef::Base("dim_pk");
+  spec.right_columns = {"attr"};
+  spec.output.slot = "out";
+  spec.output.key_columns = {"attr"};
+  auto run = [&](size_t threads, engine::WorkerPool* pool, size_t* morsels) {
+    PlanKnobs knobs;
+    knobs.threads = threads;
+    knobs.table_options.prefer_kiss = false;
+    ExecContext ctx(&db, knobs);
+    if (pool != nullptr) ctx.set_worker_pool(pool);
+    StarJoinOp op(spec);
+    EXPECT_TRUE(op.Execute(&ctx).ok());
+    *morsels = ctx.stats()->operators.at(0).morsels;
+    const IndexedTable* out = ctx.Get("out").value();
+    const size_t width = out->schema().num_columns();
+    std::vector<std::vector<uint64_t>> rows;
+    for (uint64_t id = 0; id < out->num_tuples(); ++id) {
+      rows.emplace_back(out->Tuple(id), out->Tuple(id) + width);
+    }
+    std::sort(rows.begin(), rows.end());
+    return rows;
+  };
+  size_t serial_morsels = 0;
+  auto serial = run(1, nullptr, &serial_morsels);
+  EXPECT_EQ(serial.size(), static_cast<size_t>(kFacts));
+  engine::WorkerPool pool(kThreads);
+  size_t morsels = 0;
+  auto parallel = run(kThreads, &pool, &morsels);
+  EXPECT_GE(morsels, kThreads);
+  EXPECT_EQ(parallel, serial);
 }
 
 // The mixed kiss/prefix path morsel-parallelizes over the KISS side too.

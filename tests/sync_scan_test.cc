@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/sync_scan.h"
@@ -188,6 +189,87 @@ TEST_P(SyncScanPrefixTest, ContentVsSubtreeMatching) {
                     ++matches;
                   });
   EXPECT_EQ(matches, 1u);
+}
+
+// The deepened pair-morsel list (SplitPairScanLevel) must scan exactly
+// what SynchronousScan does — same keys, same value-list pairs, same
+// order — for every morsel target, including ones no split can reach.
+TEST_P(SyncScanPrefixTest, DeepenedPairLevelsScanExactlySynchronousScan) {
+  auto [key_len, kprime] = GetParam();
+  PrefixTree left({.key_len = key_len, .kprime = kprime});
+  PrefixTree right({.key_len = key_len, .kprime = kprime});
+  Rng rng(5);
+  auto random_key = [&] {
+    std::vector<uint8_t> key(key_len);
+    uint64_t v = rng.NextBounded(5000);
+    for (size_t i = 0; i < key_len && i < 8; ++i) {
+      key[key_len - 1 - i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    return key;
+  };
+  for (int i = 0; i < 1500; ++i) {
+    left.Insert(random_key().data(), static_cast<uint64_t>(i));
+    right.Insert(random_key().data(), static_cast<uint64_t>(i));
+  }
+  using Visit = std::tuple<std::vector<uint8_t>, const ValueList*,
+                           const ValueList*>;
+  std::vector<Visit> expected;
+  SynchronousScan(left, right,
+                  [&](const uint8_t* key, const ValueList* lv,
+                      const ValueList* rv) {
+                    expected.emplace_back(
+                        std::vector<uint8_t>(key, key + key_len), lv, rv);
+                  });
+  ASSERT_FALSE(expected.empty());
+  PairScanLevel branch = FindPairScanLevel(left, right);
+  for (size_t target : {size_t{1}, size_t{4}, size_t{16}, size_t{64},
+                        size_t{100000}}) {
+    std::vector<PairScanLevel> levels =
+        SplitPairScanLevel(left, branch, target);
+    size_t pairs = 0;
+    std::vector<Visit> got;
+    for (const PairScanLevel& level : levels) {
+      ASSERT_FALSE(level.slots.empty());
+      EXPECT_TRUE(std::is_sorted(level.slots.begin(), level.slots.end()));
+      pairs += level.slots.size();
+      SynchronousScanPairSlots(
+          left, right, level, 0, level.slots.size(),
+          [&](const uint8_t* key, const ValueList* lv, const ValueList* rv) {
+            got.emplace_back(std::vector<uint8_t>(key, key + key_len), lv,
+                             rv);
+          });
+    }
+    EXPECT_GE(pairs, std::min(target, branch.slots.size())) << target;
+    EXPECT_EQ(got, expected) << "target " << target;
+  }
+}
+
+// Order-preserving int64 keys of a small domain branch into two subtrees
+// (keys 1..300 differ first in bits 52-55); the split descends until the
+// pairs reach the target.
+TEST(SyncScanPrefixSplitTest, NarrowBranchingLevelSplitsToTarget) {
+  PrefixTree left({.key_len = 8, .kprime = 4});
+  PrefixTree right({.key_len = 8, .kprime = 4});
+  KeyBuf buf;
+  for (int64_t k = 1; k <= 300; ++k) {
+    buf.clear();
+    buf.AppendI64(k);
+    left.Insert(buf.data(), 1);
+    if (k % 3 != 0) right.Insert(buf.data(), 2);
+  }
+  PairScanLevel branch = FindPairScanLevel(left, right);
+  ASSERT_EQ(branch.slots.size(), 2u);
+  EXPECT_EQ(branch.bit_off, 52u);
+  size_t pairs = 0;
+  size_t keys = 0;
+  for (const PairScanLevel& level : SplitPairScanLevel(left, branch, 12)) {
+    pairs += level.slots.size();
+    SynchronousScanPairSlots(
+        left, right, level, 0, level.slots.size(),
+        [&](const uint8_t*, const ValueList*, const ValueList*) { ++keys; });
+  }
+  EXPECT_GE(pairs, 12u);
+  EXPECT_EQ(keys, 200u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
