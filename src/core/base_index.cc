@@ -216,14 +216,15 @@ Status BaseIndex::Init(const RowTable* table, const std::vector<Rid>* rids,
   // Clustered: partial records go to the heap in key order (ties in
   // input order), so ordinal r is the r-th row in key order and a
   // key-ordered scan streams the heap. Read the keys once in input
-  // order and radix-sort the positions; insert the keys in ascending
-  // order; then scatter each partial record, read in input order, to
-  // its rank. The sort buffers are freed before the heap is sized.
+  // order and radix-sort the positions; insert each distinct key in
+  // ascending order under its rank and note where its run begins; then
+  // scatter each partial record, read in input order, to its ordinal.
+  // The sort buffers are freed before the heap is sized.
   if (n > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument(
         "a clustered base index holds at most 2^32 - 1 rows");
   }
-  ScratchArray<uint32_t> rank(n);
+  ScratchArray<uint32_t> ordinal(n);
   {
     const size_t len = kind_ == Kind::kKiss ? 4 : key_cols_.size() * 8;
     ScratchArray<uint8_t> keys(n * len);
@@ -233,16 +234,26 @@ Status BaseIndex::Init(const RowTable* table, const std::vector<Rid>* rids,
       std::memcpy(keys.data() + i * len, key.data(), len);
     }
     ScratchArray<uint32_t> order(n);
-    SortPositionsByKey(keys, len, n, &order, &rank);
+    SortPositionsByKey(keys, len, n, &order, &ordinal);
+    // Each distinct key goes into the tree once, under its rank; the
+    // rank's run starts at the key's first ordinal.
+    const uint8_t* prev = nullptr;
     for (uint32_t r = 0; r < n; ++r) {
-      InsertEncoded(keys.data() + size_t{order[r]} * len, r);
-      rank[order[r]] = r;
+      const uint8_t* row_key = keys.data() + size_t{order[r]} * len;
+      if (prev == nullptr || std::memcmp(prev, row_key, len) != 0) {
+        InsertEncoded(row_key, run_begin_.size());
+        run_begin_.push_back(r);
+        prev = row_key;
+      }
+      ordinal[order[r]] = r;
     }
   }
+  run_begin_.push_back(n);
+  run_begin_.shrink_to_fit();
   heap_.resize(n * heap_width_);
   for (size_t i = 0; i < n; ++i) {
     const Rid rid = rid_at(i);
-    uint64_t* record = heap_.data() + size_t{rank[i]} * heap_width_;
+    uint64_t* record = heap_.data() + size_t{ordinal[i]} * heap_width_;
     record[0] = rid;
     for (size_t c = 0; c < included_cols_.size(); ++c) {
       record[1 + c] = table_->GetSlot(rid, included_cols_[c]);
@@ -256,7 +267,8 @@ Status BaseIndex::Init(const RowTable* table, const std::vector<Rid>* rids,
 size_t BaseIndex::MemoryUsage() const {
   size_t index_bytes =
       kind_ == Kind::kKiss ? kiss_->MemoryUsage() : prefix_->MemoryUsage();
-  return index_bytes + heap_.capacity() * sizeof(uint64_t);
+  return index_bytes +
+         (heap_.capacity() + run_begin_.capacity()) * sizeof(uint64_t);
 }
 
 Result<BaseIndex::Accessor> BaseIndex::BindColumn(

@@ -8,11 +8,22 @@
 //   - partially clustered index: payload = rid plus a partial record of
 //     "included" columns, stored packed next to the index. Operators read
 //     join/selection/grouping attributes without touching the base table —
-//     the paper's main lever for sequential-speed selections. The build
-//     lays the partial records out in the tree's key order (ties in input
-//     order), and a clustered index's values are these key-order
-//     ordinals: a key-ordered scan (ForEachValue, ranges, synchronous
-//     scans) visits ascending ordinals and so streams the heap.
+//     the paper's main lever for sequential-speed selections.
+//
+// Run layout of a clustered index. The build lays the partial records out
+// in the tree's key order (ties in input order) in one heap, so the rows
+// of one key are a consecutive run of heap *ordinals*. The tree stores no
+// value lists for them: each key maps to its rank r in key order (one
+// inline value, no duplicate segments), and run_begin_ (num_keys + 1
+// ordinals) gives rank r the heap slice [run_begin_[r], run_begin_[r+1]).
+// A point, range or IN predicate therefore resolves to a few ordinal runs
+// (ForEachMatchEntry & co. plus RunOf), which the scan operators split into
+// fixed-size slices and filter a column at a time. The value-level scans
+// (ForEachMatch, ForEachInRange, ForEachValue) expand the runs and yield
+// ascending ordinals, so a key-ordered scan streams the heap.
+//
+// Secondary and live indexes keep one tree value per row (the rid, in a
+// ValueList for duplicate keys) and the per-value path.
 //
 // Base indexes respect transactional isolation: BuildFromSnapshot indexes
 // the rows visible to an MVCC snapshot.
@@ -141,6 +152,15 @@ class BaseIndex {
     // the partially clustered layout is designed to avoid).
     bool touches_table() const { return from_ == From::kTable; }
 
+    // The heap column this accessor reads on a clustered index, as a
+    // strided array: ordinal o's slot is heap_column()[o * heap_stride()].
+    // nullptr when the column is not in the heap.
+    const uint64_t* heap_column() const {
+      if (!owner_->clustered() || from_ == From::kTable) return nullptr;
+      return owner_->heap_.data() + (from_ == From::kPayload ? pos_ : 0);
+    }
+    size_t heap_stride() const { return owner_->heap_width_; }
+
    private:
     friend class BaseIndex;
     enum class From : uint8_t { kRid, kPayload, kTable };
@@ -160,10 +180,117 @@ class BaseIndex {
     return static_cast<uint32_t>(Int64FromSlot(slot));
   }
 
-  // --- scans ----------------------------------------------------------------------
+  // --- ordinal runs -----------------------------------------------------------
   //
-  // F: void(uint64_t value). Single-key-column convenience paths; operators
-  // needing composite keys use the trees directly.
+  // A tree entry (KissTree::ValueRef, which also wraps a prefix-tree
+  // ValueList) holds the values stored under one key: the key's rank for
+  // a clustered index, the rids otherwise.
+
+  // The heap ordinals [begin, end) of one clustered key.
+  struct Run {
+    uint64_t begin = 0;
+    uint64_t end = 0;
+    uint64_t size() const { return end - begin; }
+  };
+
+  // The run of the clustered key whose tree entry is `entry`.
+  Run RunOf(const KissTree::ValueRef& entry) const {
+    const uint64_t rank = entry.front();
+    return {run_begin_[rank], run_begin_[rank + 1]};
+  }
+
+  // Calls fn(value) for every index value behind `entry`: the key's run
+  // of ordinals, ascending, for a clustered index; the stored values for
+  // the others.
+  template <typename F>
+  void ForEachIn(const KissTree::ValueRef& entry, F&& fn) const {
+    if (!clustered()) {
+      entry.ForEach(fn);
+      return;
+    }
+    const Run run = RunOf(entry);
+    for (uint64_t o = run.begin; o < run.end; ++o) fn(o);
+  }
+
+  // Number of index values behind `entry`, and the first of them.
+  uint64_t CountIn(const KissTree::ValueRef& entry) const {
+    return clustered() ? RunOf(entry).size() : entry.size();
+  }
+  uint64_t FirstIn(const KissTree::ValueRef& entry) const {
+    return clustered() ? RunOf(entry).begin : entry.front();
+  }
+
+  // --- key lookups ----------------------------------------------------------------
+  //
+  // G: void(const KissTree::ValueRef& entry), once per matching key in
+  // ascending key order. Single-key-column paths; operators needing
+  // composite keys use the composite scans or the trees directly.
+
+  template <typename G>
+  void ForEachMatchEntry(uint64_t key_slot, G&& g) const {
+    if (kind_ == Kind::kKiss) {
+      KissTree::ValueRef vals;
+      if (kiss_->Lookup(KissKeyOf(key_slot), &vals)) g(vals);
+    } else {
+      KeyBuf key;
+      EncodeKey(&key_slot, &key);
+      const ValueList* vals = prefix_->Lookup(key.data());
+      if (vals != nullptr) g(KissTree::ValueRef(vals));
+    }
+  }
+
+  template <typename G>
+  void ForEachEntryInRange(uint64_t lo_slot, uint64_t hi_slot, G&& g) const {
+    if (kind_ == Kind::kKiss) {
+      kiss_->ScanRange(KissKeyOf(lo_slot), KissKeyOf(hi_slot),
+                       [&](uint32_t, const KissTree::ValueRef& vals) {
+                         g(vals);
+                       });
+    } else {
+      KeyBuf lo, hi;
+      EncodeKey(&lo_slot, &lo);
+      EncodeKey(&hi_slot, &hi);
+      prefix_->ScanRange(lo.data(), hi.data(),
+                         [&](const PrefixTree::ContentNode& c) {
+                           g(KissTree::ValueRef(prefix_->ValuesOf(&c)));
+                         });
+    }
+  }
+
+  template <typename G>
+  void ForEachEntry(G&& g) const {
+    if (kind_ == Kind::kKiss) {
+      kiss_->ScanAll(
+          [&](uint32_t, const KissTree::ValueRef& vals) { g(vals); });
+    } else {
+      prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
+        g(KissTree::ValueRef(prefix_->ValuesOf(&c)));
+      });
+    }
+  }
+
+  // --- value scans ------------------------------------------------------------------
+  //
+  // F: void(uint64_t value), in ascending key order; a clustered index
+  // yields each key's ordinals ascending.
+
+  template <typename F>
+  void ForEachMatch(uint64_t key_slot, F&& fn) const {
+    ForEachMatchEntry(key_slot,
+                      [&](const KissTree::ValueRef& e) { ForEachIn(e, fn); });
+  }
+
+  template <typename F>
+  void ForEachInRange(uint64_t lo_slot, uint64_t hi_slot, F&& fn) const {
+    ForEachEntryInRange(lo_slot, hi_slot, [&](const KissTree::ValueRef& e) {
+      ForEachIn(e, fn);
+    });
+  }
+
+  template <typename F>
+  void ForEachValue(F&& fn) const {
+    ForEachEntry([&](const KissTree::ValueRef& e) { ForEachIn(e, fn); });
+  }
 
   // Exact match on ALL key components of a multidimensional index
   // (§4.1: conjunctive predicates prefer a multidimensional index as
@@ -177,7 +304,7 @@ class BaseIndex {
     KeyBuf key;
     EncodeKey(key_slots, &key);
     const ValueList* vals = prefix_->Lookup(key.data());
-    if (vals != nullptr) vals->ForEach(fn);
+    if (vals != nullptr) ForEachIn(KissTree::ValueRef(vals), fn);
   }
 
   // Range scan on the composite encoding: all keys in
@@ -195,55 +322,11 @@ class BaseIndex {
     EncodeKey(hi_slots, &hi);
     prefix_->ScanRange(lo.data(), hi.data(),
                        [&](const PrefixTree::ContentNode& c) {
-                         prefix_->ValuesOf(&c)->ForEach(fn);
+                         ForEachIn(KissTree::ValueRef(prefix_->ValuesOf(&c)), fn);
                        });
   }
 
   size_t num_key_columns() const { return key_cols_.size(); }
-
-  template <typename F>
-  void ForEachMatch(uint64_t key_slot, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      KissTree::ValueRef vals;
-      if (kiss_->Lookup(KissKeyOf(key_slot), &vals)) vals.ForEach(fn);
-    } else {
-      KeyBuf key;
-      EncodeKey(&key_slot, &key);
-      const ValueList* vals = prefix_->Lookup(key.data());
-      if (vals != nullptr) vals->ForEach(fn);
-    }
-  }
-
-  template <typename F>
-  void ForEachInRange(uint64_t lo_slot, uint64_t hi_slot, F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      kiss_->ScanRange(KissKeyOf(lo_slot), KissKeyOf(hi_slot),
-                       [&](uint32_t, const KissTree::ValueRef& vals) {
-                         vals.ForEach(fn);
-                       });
-    } else {
-      KeyBuf lo, hi;
-      EncodeKey(&lo_slot, &lo);
-      EncodeKey(&hi_slot, &hi);
-      prefix_->ScanRange(lo.data(), hi.data(),
-                         [&](const PrefixTree::ContentNode& c) {
-                           prefix_->ValuesOf(&c)->ForEach(fn);
-                         });
-    }
-  }
-
-  template <typename F>
-  void ForEachValue(F&& fn) const {
-    if (kind_ == Kind::kKiss) {
-      kiss_->ScanAll([&](uint32_t, const KissTree::ValueRef& vals) {
-        vals.ForEach(fn);
-      });
-    } else {
-      prefix_->ScanAll([&](const PrefixTree::ContentNode& c) {
-        prefix_->ValuesOf(&c)->ForEach(fn);
-      });
-    }
-  }
 
   // Maps an index value back to its record identifier. For secondary
   // (and all live) indexes the value *is* the rid.
@@ -279,6 +362,9 @@ class BaseIndex {
   // [rid, included...]; entry r belongs to ordinal r.
   std::vector<uint64_t> heap_;
   size_t heap_width_ = 0;
+  // Clustered only: key rank r owns ordinals [run_begin_[r],
+  // run_begin_[r + 1]); num_keys + 1 entries, the last one num_rows.
+  std::vector<uint64_t> run_begin_;
   // Relaxed atomic: live indexes grow under the database write lock
   // while planners read the count for costing; an approximate value is
   // fine there, and scans never consult it.

@@ -1,39 +1,12 @@
 #include "core/operators/common.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 namespace qppt {
-
-namespace {
-
-// Calls fn(value) for every value of `index` whose key matches `pred`.
-template <typename Fn>
-void ForEachKeyMatch(const BaseIndex& index, const KeyPredicate& pred,
-                     Fn&& fn) {
-  switch (pred.kind) {
-    case KeyPredicate::Kind::kPoint:
-      index.ForEachMatch(SlotFromInt64(pred.point), fn);
-      break;
-    case KeyPredicate::Kind::kRange:
-      index.ForEachInRange(SlotFromInt64(pred.lo), SlotFromInt64(pred.hi),
-                           fn);
-      break;
-    case KeyPredicate::Kind::kIn:
-      for (int64_t point : pred.in_points) {
-        index.ForEachMatch(SlotFromInt64(point), fn);
-      }
-      break;
-    case KeyPredicate::Kind::kAll:
-      index.ForEachValue(fn);
-      break;
-  }
-}
-
-}  // namespace
 
 Result<BoundSide> BoundSide::Bind(const ExecContext& ctx, const SideRef& ref,
                                   const std::vector<std::string>& columns) {
@@ -181,8 +154,8 @@ void CandidatePipeline::Process() {
       for (size_t i = 0; i < n; ++i) {
         if (!jobs_[i].found) continue;
         const uint64_t* row = rows->data() + i * width_;
-        jobs_[i].values.ForEach(
-            [&](uint64_t v) { expand(row, v); });
+        assist.side.ForEachIn(jobs_[i].values,
+                              [&](uint64_t v) { expand(row, v); });
       }
     } else if (kiss != nullptr) {
       // Unbuffered point probes (joinbuffer size 1, the "none" setting).
@@ -193,7 +166,7 @@ void CandidatePipeline::Process() {
                           &values)) {
           continue;
         }
-        values.ForEach([&](uint64_t v) { expand(row, v); });
+        assist.side.ForEachIn(values, [&](uint64_t v) { expand(row, v); });
       }
     } else if (buffer_rows_ > 1) {
       // Prefix-tree assist, batched: the encoded probes walk the tree
@@ -213,8 +186,9 @@ void CandidatePipeline::Process() {
       for (size_t i = 0; i < n; ++i) {
         if (prefix_jobs_[i].result == nullptr) continue;
         const uint64_t* row = rows->data() + i * width_;
-        prefix->ValuesOf(prefix_jobs_[i].result)
-            ->ForEach([&](uint64_t v) { expand(row, v); });
+        assist.side.ForEachIn(
+            KissTree::ValueRef(prefix->ValuesOf(prefix_jobs_[i].result)),
+            [&](uint64_t v) { expand(row, v); });
       }
     } else {
       // Prefix-tree assist: encoded single-attribute point probes.
@@ -226,7 +200,8 @@ void CandidatePipeline::Process() {
         key.AppendI64(Int64FromSlot(row[assist.probe_pos]));
         const ValueList* values = prefix->Lookup(key.data());
         if (values == nullptr) continue;
-        values->ForEach([&](uint64_t v) { expand(row, v); });
+        assist.side.ForEachIn(KissTree::ValueRef(values),
+                              [&](uint64_t v) { expand(row, v); });
       }
     }
     rows->swap(next_stage_);
@@ -253,33 +228,172 @@ void CandidatePipeline::Process() {
   candidates_.clear();
 }
 
-uint64_t SelectionScan::split_tuples() const {
-  const bool splittable = index_.kiss() != nullptr &&
-                          (pred_.kind == KeyPredicate::Kind::kRange ||
-                           pred_.kind == KeyPredicate::Kind::kAll);
-  return splittable ? index_.num_rows() : 0;
+// ---- residual loops ----------------------------------------------------------
+
+namespace {
+
+template <Residual::Cmp kCmp>
+inline bool Passes(int64_t v, int64_t a, int64_t b) {
+  if constexpr (kCmp == Residual::Cmp::kEq) return v == a;
+  if constexpr (kCmp == Residual::Cmp::kNe) return v != a;
+  if constexpr (kCmp == Residual::Cmp::kLt) return v < a;
+  if constexpr (kCmp == Residual::Cmp::kLe) return v <= a;
+  if constexpr (kCmp == Residual::Cmp::kGt) return v > a;
+  if constexpr (kCmp == Residual::Cmp::kGe) return v >= a;
+  if constexpr (kCmp == Residual::Cmp::kBetween) return (v >= a) & (v <= b);
+  return false;
+}
+
+}  // namespace
+
+template <Residual::Cmp kCmp, bool kHeap>
+size_t ResidualLoop::Range(const ResidualLoop& loop, uint64_t first,
+                           size_t n, uint64_t* sel) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t o = first + i;
+    sel[k] = o;
+    k += Passes<kCmp>(loop.Read<kHeap>(o), loop.a_, loop.b_);
+  }
+  return k;
+}
+
+template <Residual::Cmp kCmp, bool kHeap>
+size_t ResidualLoop::Selection(const ResidualLoop& loop, uint64_t* sel,
+                               size_t n) {
+  size_t k = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t o = sel[i];
+    sel[k] = o;
+    k += Passes<kCmp>(loop.Read<kHeap>(o), loop.a_, loop.b_);
+  }
+  return k;
+}
+
+template <Residual::Cmp kCmp, bool kHeap>
+void ResidualLoop::Use() {
+  range_ = &Range<kCmp, kHeap>;
+  selection_ = &Selection<kCmp, kHeap>;
+}
+
+template <bool kHeap>
+void ResidualLoop::Pick(Residual::Cmp cmp) {
+  using C = Residual::Cmp;
+  switch (cmp) {
+    case C::kEq: return Use<C::kEq, kHeap>();
+    case C::kNe: return Use<C::kNe, kHeap>();
+    case C::kLt: return Use<C::kLt, kHeap>();
+    case C::kLe: return Use<C::kLe, kHeap>();
+    case C::kGt: return Use<C::kGt, kHeap>();
+    case C::kGe: return Use<C::kGe, kHeap>();
+    case C::kBetween: return Use<C::kBetween, kHeap>();
+  }
+}
+
+ResidualLoop::ResidualLoop(const BoundResidual& bound)
+    : a_(bound.residual.a),
+      b_(bound.residual.b),
+      column_(bound.accessor.heap_column()),
+      stride_(bound.accessor.heap_stride()),
+      accessor_(bound.accessor) {
+  if (column_ != nullptr) {
+    Pick<true>(bound.residual.cmp);
+  } else {
+    Pick<false>(bound.residual.cmp);
+  }
+}
+
+// ---- the selection scan ---------------------------------------------------------
+
+SelectionScan::SelectionScan(const BaseIndex& index, const KeyPredicate& pred,
+                             const BoundSide& side,
+                             const std::vector<BoundResidual>& residuals)
+    : side_(side), residuals_(residuals) {
+  const bool clustered = index.clustered();
+  // Keys are visited in ascending order, so a range's runs coalesce into
+  // one.
+  auto add = [&](const KissTree::ValueRef& entry) {
+    if (!clustered) {
+      entries_.push_back(entry);
+      slices_.Add(entry.size(), /*grain=*/entry.size());
+      return;
+    }
+    const BaseIndex::Run run = index.RunOf(entry);
+    if (!runs_.empty() && runs_.back().end == run.begin) {
+      runs_.back().end = run.end;
+    } else {
+      runs_.push_back(run);
+    }
+  };
+  switch (pred.kind) {
+    case KeyPredicate::Kind::kPoint:
+      index.ForEachMatchEntry(SlotFromInt64(pred.point), add);
+      break;
+    case KeyPredicate::Kind::kRange:
+      index.ForEachEntryInRange(SlotFromInt64(pred.lo), SlotFromInt64(pred.hi),
+                                add);
+      break;
+    case KeyPredicate::Kind::kIn:
+      for (int64_t point : pred.in_points) {
+        index.ForEachMatchEntry(SlotFromInt64(point), add);
+      }
+      break;
+    case KeyPredicate::Kind::kAll:
+      if (!clustered) {
+        index.ForEachEntry(add);
+      } else if (index.num_rows() > 0) {
+        runs_.push_back({0, index.num_rows()});
+      }
+      break;
+  }
+  if (!clustered) return;
+  for (const BaseIndex::Run& run : runs_) slices_.Add(run.size());
+  loops_.reserve(residuals.size());
+  for (const BoundResidual& r : residuals) loops_.emplace_back(r);
+}
+
+void SelectionScan::ScanUnits(ScanSink* sink, uint64_t begin,
+                              uint64_t end) const {
+  ScanTimer timer(sink);
+  slices_.ForEachPiece(begin, end, [&](size_t item, uint64_t lo, uint64_t hi) {
+    if (!entries_.empty()) {  // one chunk: lo == 0
+      entries_[item].ForEach([&](uint64_t value) {
+        sink->cancel.Tick();
+        StageIfQualifies(side_, residuals_, sink, value);
+      });
+      return;
+    }
+    ScanOrdinals(sink, runs_[item].begin + lo, runs_[item].begin + hi);
+  });
+}
+
+void SelectionScan::ScanOrdinals(ScanSink* sink, uint64_t begin,
+                                 uint64_t end) const {
+  uint64_t sel[kBlock];
+  for (uint64_t first = begin; first < end; first += kBlock) {
+    const size_t n = static_cast<size_t>(std::min<uint64_t>(kBlock, end - first));
+    sink->cancel.Tick(static_cast<uint32_t>(n));
+    if (loops_.empty()) {
+      for (size_t i = 0; i < n; ++i) Emit(sink, first + i);
+      continue;
+    }
+    size_t k = loops_[0].FilterRange(first, n, sel);
+    for (size_t r = 1; r < loops_.size() && k > 0; ++r) {
+      k = loops_[r].FilterSelection(sel, k);
+    }
+    for (size_t i = 0; i < k; ++i) Emit(sink, sel[i]);
+  }
 }
 
 size_t SelectionScan::operator()(const engine::MorselSite* site,
                                  std::vector<ScanSink>& sinks) const {
   if (site == nullptr) {
-    ScanSink* sink = &sinks[0];
-    ForEachKeyMatch(index_, pred_, [&](uint64_t value) {
-      sink->cancel.Tick();
-      Stage(sink, value);
-    });
+    ScanUnits(&sinks[0], 0, slices_.total());
     return 0;
   }
-  uint32_t lo = 0;
-  uint32_t hi = std::numeric_limits<uint32_t>::max();
-  if (pred_.kind == KeyPredicate::Kind::kRange) {
-    lo = BaseIndex::KissKeyOf(SlotFromInt64(pred_.lo));
-    hi = BaseIndex::KissKeyOf(SlotFromInt64(pred_.hi));
-  }
-  return engine::RunKissValueMorsels(
-      *site, *index_.kiss(), lo, hi, [&](size_t w, uint64_t value) {
-        sinks[w].cancel.Tick();
-        Stage(&sinks[w], value);
+  return engine::RunSliceMorsels(
+      *site, slices_, [&](size_t w, uint64_t begin, uint64_t end) {
+        ScanUnits(&sinks[w], begin, end);
       });
 }
 

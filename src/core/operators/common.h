@@ -76,6 +76,29 @@ class BoundSide {
     return is_base() ? base_->num_rows() : inter_->num_tuples();
   }
 
+  // The index values behind one entry of this side's tree: a clustered
+  // base key's ordinal run (BaseIndex::ForEachIn), else the stored values
+  // (rids, or an intermediate's tuple ids).
+  template <typename F>
+  void ForEachIn(const KissTree::ValueRef& entry, F&& fn) const {
+    if (is_base()) {
+      base_->ForEachIn(entry, fn);
+    } else {
+      entry.ForEach(fn);
+    }
+  }
+  uint64_t CountIn(const KissTree::ValueRef& entry) const {
+    return is_base() ? base_->CountIn(entry) : entry.size();
+  }
+  uint64_t FirstIn(const KissTree::ValueRef& entry) const {
+    return is_base() ? base_->FirstIn(entry) : entry.front();
+  }
+
+  // The clustered base index behind this side, or nullptr.
+  const BaseIndex* clustered_base() const {
+    return is_base() && base_->clustered() ? base_ : nullptr;
+  }
+
   // True if the row behind index value `value` is visible at the query
   // snapshot. Always true for non-versioned inputs (plain base indexes
   // and intermediates) — one well-predicted branch on the hot path. Live
@@ -197,6 +220,61 @@ struct BoundResidual {
   }
 };
 
+// A residual compiled for the clustered selection scan: one typed,
+// branch-free loop per (column kind, Residual::Cmp) that narrows a
+// selection vector of heap ordinals (MonetDB/X100-style
+// vector-at-a-time evaluation over the key-ordered heap). The column is
+// read straight from the heap when the accessor has a heap column, else
+// through the accessor.
+class ResidualLoop {
+ public:
+  explicit ResidualLoop(const BoundResidual& bound);
+
+  // Writes the ordinals of [first, first + n) that pass to sel[0..);
+  // returns how many passed.
+  size_t FilterRange(uint64_t first, size_t n, uint64_t* sel) const {
+    return range_(*this, first, n, sel);
+  }
+  // Narrows sel[0..n) in place to the ordinals that pass; returns how
+  // many remain.
+  size_t FilterSelection(uint64_t* sel, size_t n) const {
+    return selection_(*this, sel, n);
+  }
+
+ private:
+  using RangeFn = size_t (*)(const ResidualLoop&, uint64_t, size_t,
+                             uint64_t*);
+  using SelectionFn = size_t (*)(const ResidualLoop&, uint64_t*, size_t);
+
+  template <Residual::Cmp kCmp, bool kHeap>
+  static size_t Range(const ResidualLoop& loop, uint64_t first, size_t n,
+                      uint64_t* sel);
+  template <Residual::Cmp kCmp, bool kHeap>
+  static size_t Selection(const ResidualLoop& loop, uint64_t* sel,
+                          size_t n);
+  template <Residual::Cmp kCmp, bool kHeap>
+  void Use();
+  template <bool kHeap>
+  void Pick(Residual::Cmp cmp);
+
+  template <bool kHeap>
+  int64_t Read(uint64_t ordinal) const {
+    if constexpr (kHeap) {
+      return Int64FromSlot(column_[ordinal * stride_]);
+    } else {
+      return Int64FromSlot(accessor_.Get(ordinal));
+    }
+  }
+
+  int64_t a_;
+  int64_t b_;
+  const uint64_t* column_;  // heap column, or nullptr
+  size_t stride_;
+  BaseIndex::Accessor accessor_;
+  RangeFn range_ = nullptr;
+  SelectionFn selection_ = nullptr;
+};
+
 Result<std::vector<BoundResidual>> BindResiduals(
     const BaseIndex& index, const std::vector<Residual>& residuals);
 
@@ -299,16 +377,44 @@ class CandidatePipeline {
 // ---- the scan runner --------------------------------------------------------
 
 // One worker's end of an operator scan (RunScan): the candidate pipeline
-// feeding that worker's output table, and the stride-based cancellation
-// poll the scan ticks once per enumerated tuple. Cache-line aligned, so
-// neighbouring workers' countdowns never share a line.
+// feeding that worker's output table, the stride-based cancellation poll
+// the scan ticks once per enumerated tuple, and the worker's scan time.
+// Cache-line aligned, so neighbouring workers' countdowns never share a
+// line.
 struct alignas(64) ScanSink {
   ScanSink(const PipelineShape& shape, IndexedTable* output,
            const CancelToken* token)
       : pipeline(shape, output), cancel(token) {}
 
+  double pipeline_ms() const {
+    return pipeline.materialize_ms() + pipeline.index_ms();
+  }
+
   CandidatePipeline pipeline;
   CancelTicker cancel;
+  // Wall time of this worker's scan loops (key matching, residual loops,
+  // fills), pipeline work excluded — see ScanTimer.
+  double scan_ms = 0;
+};
+
+// Adds the wall time of its scope to sink->scan_ms, minus the time the
+// sink's candidate pipeline (assist probes, output inserts) spent inside
+// it, so scan_ms, materialize_ms and index_ms add up without overlap.
+class ScanTimer {
+ public:
+  explicit ScanTimer(ScanSink* sink)
+      : sink_(sink), pipeline_ms_(sink->pipeline_ms()) {}
+  ~ScanTimer() {
+    sink_->scan_ms +=
+        timer_.ElapsedMs() - (sink_->pipeline_ms() - pipeline_ms_);
+  }
+  ScanTimer(const ScanTimer&) = delete;
+  ScanTimer& operator=(const ScanTimer&) = delete;
+
+ private:
+  ScanSink* sink_;
+  double pipeline_ms_;
+  Timer timer_;
 };
 
 // Runs the input scan of a scan operator (selection, select-join, star
@@ -318,28 +424,34 @@ struct alignas(64) ScanSink {
 // hands its morsel body to an engine driver on *site — worker w feeding
 // sinks[w] — and returns the driver's morsel count. RunScan forks when
 // the context has a pool, knobs().threads > 1, and `split_tuples` (the
-// size of the input the scan splits; 0 = it cannot split) reaches
-// engine::kMinParallelInputTuples; each worker then fills a private
-// partial output, merged into `output` at the end. Both runs poll the
-// query's cancel token: the sinks' tickers every kCancelStride tuples,
-// the site (parallel only) before every morsel and merge shard. Fills
-// the scan fields of `stats`: morsels, materialize_ms and index_ms (of
-// the slowest worker — the critical path, comparable to total_ms),
-// merge_ms and merge_morsels, and the candidate funnel summed over the
-// workers.
+// qualifying work the scan can run in parallel — resolved index values
+// or emitted pairs beside its largest uncut chunk,
+// engine::SliceMap::splittable; 0 = it cannot split) reaches
+// engine::kMinParallelInputTuples; each
+// worker then fills a private partial output, merged into `output` at
+// the end. Both runs poll the query's cancel token: the sinks' tickers
+// every kCancelStride tuples, the site (parallel only) before every
+// morsel and merge shard. Fills the scan fields of `stats`: morsels,
+// scan_ms (added to what the operator already put there),
+// materialize_ms and index_ms (each of the slowest worker — the critical
+// path, comparable to total_ms), merge_ms and merge_morsels, and the
+// candidate funnel summed over the workers.
 template <typename Scan>
 void RunScan(const ExecContext& ctx, const std::string& label,
              const PipelineShape& shape, uint64_t split_tuples,
              IndexedTable* output, OperatorStats* stats, Scan&& scan) {
   std::vector<ScanSink> sinks;
   auto finish = [&] {
+    double scan_ms = 0;
     for (ScanSink& sink : sinks) {
       sink.pipeline.Finish();
+      scan_ms = std::max(scan_ms, sink.scan_ms);
       stats->materialize_ms =
           std::max(stats->materialize_ms, sink.pipeline.materialize_ms());
       stats->index_ms = std::max(stats->index_ms, sink.pipeline.index_ms());
       sink.pipeline.AddFunnelTo(stats);
     }
+    stats->scan_ms += scan_ms;
   };
   if (ctx.worker_pool() == nullptr || ctx.knobs().threads <= 1 ||
       split_tuples < engine::kMinParallelInputTuples) {
@@ -362,42 +474,77 @@ void RunScan(const ExecContext& ctx, const std::string& label,
   stats->merge_ms = merge.ElapsedMs();
 }
 
+// Stages index value `value` of `side` into `sink` as a candidate row
+// if it is visible at the query snapshot and passes `residuals` (the
+// per-value selection path; the caller ticks).
+inline void StageIfQualifies(const BoundSide& side,
+                             const std::vector<BoundResidual>& residuals,
+                             ScanSink* sink, uint64_t value) {
+  if (!side.Visible(value)) return;  // MVCC snapshot filter
+  for (const auto& r : residuals) {
+    if (!r.Eval(value)) return;
+  }
+  uint64_t* row = sink->pipeline.AddRow();
+  side.Fill(value, row);
+  sink->pipeline.MaybeProcess();
+}
+
 // The selection scan of a base index, shared by SelectionOp and
 // SelectJoinOp (§4.1, §4.3): each value matching the key predicate that
 // is visible at the query snapshot and passes the residuals becomes a
-// candidate row holding `side`'s columns. A KISS index under a range or
-// all predicate splits into value morsels (engine::RunKissValueMorsels);
-// other predicates and prefix-tree indexes scan whole. Pass the object
-// itself to RunScan as the scan.
+// candidate row holding `side`'s columns. Pass the object itself to
+// RunScan as the scan, with split_tuples() as its split size. At
+// construction the key predicate resolves to items of an
+// engine::SliceMap, one unit per qualifying index value; a parallel run
+// cuts them into fixed-size slices (engine::RunSliceMorsels).
+//
+// On a clustered index the items are ordinal runs of the heap (adjacent
+// runs coalesce, so a range is one run). The scan walks them kBlock
+// ordinals at a time: every residual runs as one ResidualLoop over its
+// heap column, narrowing a selection vector, and only the survivors are
+// filled into the pipeline. A slice may cut a run anywhere. Live indexes
+// are never clustered, so these slices need no MVCC filter.
+//
+// Secondary and live indexes keep the per-value path: the items are the
+// matching keys' tree entries, each value goes through StageIfQualifies,
+// and an entry is one chunk, scanned whole by the slice that holds its
+// first value (a live entry may grow while it is scanned, so it is not
+// cut at positions). A predicate that matches one key of such an index
+// therefore cannot split and runs serially.
 class SelectionScan {
  public:
+  static constexpr size_t kBlock = 1024;
+
   SelectionScan(const BaseIndex& index, const KeyPredicate& pred,
                 const BoundSide& side,
-                const std::vector<BoundResidual>& residuals)
-      : index_(index), pred_(pred), side_(side), residuals_(residuals) {}
+                const std::vector<BoundResidual>& residuals);
 
-  // RunScan's split_tuples: the index size when the scan can split.
-  uint64_t split_tuples() const;
-
-  // Stages `value` into `sink` if it qualifies (the caller ticks).
-  void Stage(ScanSink* sink, uint64_t value) const {
-    if (!side_.Visible(value)) return;  // MVCC snapshot filter
-    for (const auto& r : residuals_) {
-      if (!r.Eval(value)) return;
-    }
-    uint64_t* row = sink->pipeline.AddRow();
-    side_.Fill(value, row);
-    sink->pipeline.MaybeProcess();
-  }
+  // RunScan's split_tuples: the resolved index values that can run
+  // beside the largest uncut entry (engine::SliceMap::splittable).
+  uint64_t split_tuples() const { return slices_.splittable(); }
 
   size_t operator()(const engine::MorselSite* site,
                     std::vector<ScanSink>& sinks) const;
 
  private:
-  const BaseIndex& index_;
-  const KeyPredicate& pred_;
+  void Emit(ScanSink* sink, uint64_t value) const {
+    uint64_t* row = sink->pipeline.AddRow();
+    side_.Fill(value, row);
+    sink->pipeline.MaybeProcess();
+  }
+  // Scans the units [begin, end) of slices_.
+  void ScanUnits(ScanSink* sink, uint64_t begin, uint64_t end) const;
+  // Filters and fills the heap ordinals [begin, end).
+  void ScanOrdinals(ScanSink* sink, uint64_t begin, uint64_t end) const;
+
   const BoundSide& side_;
   const std::vector<BoundResidual>& residuals_;
+  // The resolved items — runs on a clustered index, else tree entries —
+  // and their slice map; the compiled residuals (clustered only).
+  std::vector<BaseIndex::Run> runs_;
+  std::vector<KissTree::ValueRef> entries_;
+  engine::SliceMap slices_;
+  std::vector<ResidualLoop> loops_;
 };
 
 }  // namespace qppt

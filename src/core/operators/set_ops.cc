@@ -48,13 +48,14 @@ Status IntersectOp::Execute(ExecContext* ctx) {
     SynchronousScan(*left.kiss(), *right.kiss(),
                     [&](uint32_t, const KissTree::ValueRef& lv,
                         const KissTree::ValueRef& rv) {
-                      emit(lv.front(), rv.front());
+                      emit(left.FirstIn(lv), right.FirstIn(rv));
                     });
   } else if (!left.is_kiss() && !right.is_kiss()) {
     SynchronousScan(*left.prefix(), *right.prefix(),
                     [&](const uint8_t*, const ValueList* lv,
                         const ValueList* rv) {
-                      emit(lv->first(), rv->first());
+                      emit(left.FirstIn(KissTree::ValueRef(lv)),
+                           right.FirstIn(KissTree::ValueRef(rv)));
                     });
   } else {
     return Status::InvalidArgument(
@@ -105,10 +106,12 @@ Status UnionDistinctOp::Execute(ExecContext* ctx) {
     };
     if (side.is_kiss()) {
       side.kiss()->ScanAll(
-          [&](uint32_t, const KissTree::ValueRef& vals) { emit(vals.front()); });
+          [&](uint32_t, const KissTree::ValueRef& vals) {
+            emit(side.FirstIn(vals));
+          });
     } else {
       side.prefix()->ScanAll([&](const PrefixTree::ContentNode& c) {
-        emit(side.prefix()->ValuesOf(&c)->first());
+        emit(side.FirstIn(KissTree::ValueRef(side.prefix()->ValuesOf(&c))));
       });
     }
   };

@@ -1,6 +1,5 @@
 #include "core/operators/star_join.h"
 
-#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -15,6 +14,77 @@ namespace {
 // Probe batch for the mixed kiss/prefix main pair: large enough to keep
 // the §2.3 prefetch pipeline busy, small enough for stack staging.
 constexpr size_t kMixedProbeBatch = 64;
+
+// One key both main indexes hold: each side's tree entry for it.
+struct Match {
+  KissTree::ValueRef left;
+  KissTree::ValueRef right;
+};
+
+// The synchronous index scan over the two main indexes (Fig. 6),
+// resolving the keys both hold into `matches`. Only buckets used by both
+// sides are descended into. Ticks `cancel` once per match.
+Status ResolveMatches(const BoundSide& left, const BoundSide& right,
+                      CancelTicker* cancel, std::vector<Match>* matches) {
+  auto add = [&](const KissTree::ValueRef& l, const KissTree::ValueRef& r) {
+    cancel->Tick();
+    matches->push_back({l, r});
+  };
+  if (left.is_kiss() && right.is_kiss()) {
+    SynchronousScan(*left.kiss(), *right.kiss(),
+                    [&](uint32_t, const KissTree::ValueRef& lv,
+                        const KissTree::ValueRef& rv) { add(lv, rv); });
+    return Status::OK();
+  }
+  if (!left.is_kiss() && !right.is_kiss()) {
+    // Prefix-tree mains: the structural synchronous scan.
+    SynchronousScan(*left.prefix(), *right.prefix(),
+                    [&](const uint8_t*, const ValueList* lv,
+                        const ValueList* rv) {
+                      add(KissTree::ValueRef(lv), KissTree::ValueRef(rv));
+                    });
+    return Status::OK();
+  }
+  // Mixed main families (one KISS, one prefix — e.g. a KISS-indexed base
+  // main joined with a prefix-tree intermediate when prefer_kiss is off):
+  // scan the prefix side's keys in order and probe the KISS side with
+  // §2.3 batched, software-prefetched lookups (KissTree::BatchLookup).
+  // Probing with KissKeyOf's 32-bit truncation reproduces exactly the
+  // conflation a KISS x KISS scan applies to every attribute value — no
+  // reconstruction heuristics.
+  const bool left_is_kiss = left.is_kiss();
+  const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
+  const PrefixTree& ptree = left_is_kiss ? *right.prefix() : *left.prefix();
+  if (ptree.key_len() != 8) {
+    return Status::InvalidArgument(
+        "star join with mixed KISS/prefix mains requires the prefix main "
+        "to be keyed on the single shared integer join attribute");
+  }
+  KissTree::LookupJob jobs[kMixedProbeBatch];
+  const ValueList* prefix_vals[kMixedProbeBatch];
+  size_t n = 0;
+  auto flush = [&] {
+    if (n == 0) return;
+    ktree.BatchLookup(std::span<KissTree::LookupJob>(jobs, n));
+    for (size_t i = 0; i < n; ++i) {
+      if (!jobs[i].found) continue;
+      const KissTree::ValueRef p(prefix_vals[i]);
+      if (left_is_kiss) {
+        add(jobs[i].values, p);
+      } else {
+        add(p, jobs[i].values);
+      }
+    }
+    n = 0;
+  };
+  ptree.ScanAll([&](const PrefixTree::ContentNode& c) {
+    jobs[n].key = static_cast<uint32_t>(DecodeI64(c.key()));  // KissKeyOf
+    prefix_vals[n] = ptree.ValuesOf(&c);
+    if (++n == kMixedProbeBatch) flush();
+  });
+  flush();
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -54,9 +124,37 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
 
   stats.input_tuples = left.num_input_tuples() + right.num_input_tuples();
 
-  // Cross-product emission shared by the three family scans (nested-loop
-  // over the duplicate lists of one matched key, §4.2). Every pair ticks
-  // its sink's cancel poll.
+  // Two passes. The synchronous index scan resolves the keys both mains
+  // hold (serial; it skips every subtree one side lacks), then the
+  // emission pass expands each match into the cross product of its two
+  // value sets (nested loop over the duplicate lists, §4.2) and streams
+  // it through the candidate pipeline. Emission is the bulk of the work
+  // and the part that splits: each match is worth its l x r pairs
+  // (engine::SliceMap), and morsels are fixed-size slices of those
+  // pairs. The *split side* is the clustered base main with more rows
+  // (the fact index): a match is cut at each of its split-side
+  // ordinals, so one heavy key's run spreads over morsels. Without a
+  // clustered main a match is one chunk.
+  Timer resolve;
+  std::vector<Match> matches;
+  CancelTicker resolve_cancel(ctx->cancel());
+  QPPT_RETURN_NOT_OK(ResolveMatches(left, right, &resolve_cancel, &matches));
+  const BaseIndex* left_run = left.clustered_base();
+  const BaseIndex* right_run = right.clustered_base();
+  const bool split_left =
+      left_run != nullptr &&
+      (right_run == nullptr || left_run->num_rows() >= right_run->num_rows());
+  const bool split_right = !split_left && right_run != nullptr;
+  engine::SliceMap slices;
+  for (const Match& m : matches) {
+    const uint64_t l = left.CountIn(m.left);
+    const uint64_t r = right.CountIn(m.right);
+    // Chunk c of a match is the pairs of split-side ordinal c.
+    slices.Add(l * r, split_left ? r : split_right ? l : l * r);
+  }
+  stats.scan_ms = resolve.ElapsedMs();
+
+  // Every pair ticks its sink's cancel poll.
   auto emit_pair = [&](ScanSink* sink, uint64_t l, uint64_t r) {
     sink->cancel.Tick();
     // MVCC snapshot filter: no-op branches for non-versioned sides.
@@ -66,148 +164,44 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
     right.Fill(r, row + left_width);
     sink->pipeline.MaybeProcess();
   };
-  auto emit_lists = [&](ScanSink* sink, const auto& lv, const auto& rv) {
-    lv.ForEach([&](uint64_t l) {
-      rv.ForEach([&](uint64_t r) { emit_pair(sink, l, r); });
+  // Emits the pairs [begin, end) of the slice map into `sink`.
+  auto emit_units = [&](ScanSink* sink, uint64_t begin, uint64_t end) {
+    ScanTimer timer(sink);
+    slices.ForEachPiece(begin, end, [&](size_t item, uint64_t lo,
+                                        uint64_t hi) {
+      const Match& m = matches[item];
+      if (split_left) {
+        const uint64_t first = left_run->RunOf(m.left).begin;
+        for (uint64_t l = first + lo; l < first + hi; ++l) {
+          right.ForEachIn(m.right, [&](uint64_t r) { emit_pair(sink, l, r); });
+        }
+      } else if (split_right) {
+        const uint64_t first = right_run->RunOf(m.right).begin;
+        left.ForEachIn(m.left, [&](uint64_t l) {
+          for (uint64_t r = first + lo; r < first + hi; ++r) {
+            emit_pair(sink, l, r);
+          }
+        });
+      } else {
+        left.ForEachIn(m.left, [&](uint64_t l) {
+          right.ForEachIn(m.right, [&](uint64_t r) { emit_pair(sink, l, r); });
+        });
+      }
     });
   };
-
-  // One scan per main-family pairing. Each scans a morsel — a key range
-  // or a slice of branching-level pair slots — into one worker's sink;
-  // the serial run (site == nullptr) is the same scan over the whole
-  // span or all pair slots, as a single morsel.
-  const std::string label = display_name();
-  if (left.is_kiss() && right.is_kiss()) {
-    // The synchronous index scan over the two main indexes (Fig. 6): only
-    // buckets used by both sides are descended into; each shared key
-    // yields the cross product of the two duplicate lists (§4.2).
-    // Morsels are disjoint key ranges of the shared span.
-    const KissTree& lk = *left.kiss();
-    const KissTree& rk = *right.kiss();
-    auto scan_range = [&](ScanSink* sink, uint32_t lo, uint32_t hi) {
-      SynchronousScanRange(lk, rk, lo, hi,
-                           [&](uint32_t, const KissTree::ValueRef& lv,
-                               const KissTree::ValueRef& rv) {
-                             emit_lists(sink, lv, rv);
-                           });
-    };
-    RunScan(*ctx, label, shape, left.num_input_tuples(), output.get(),
-            &stats,
-            [&](const engine::MorselSite* site,
-                std::vector<ScanSink>& sinks) -> size_t {
-              uint32_t lo = std::max(lk.min_key(), rk.min_key());
-              uint32_t hi = std::min(lk.max_key(), rk.max_key());
-              if (site == nullptr) {
-                scan_range(&sinks[0], lo, hi);
-                return 0;
-              }
-              return engine::RunKissRangeMorsels(
-                  *site, lk, lo, hi,
-                  [&](size_t w, uint32_t mlo, uint32_t mhi) {
-                    scan_range(&sinks[w], mlo, mhi);
-                  });
-            });
-  } else if (!left.is_kiss() && !right.is_kiss()) {
-    // Prefix-tree mains: structural synchronous scan. Morsels are the
-    // disjoint subtree pairs at the trees' branching level (§7:
-    // deterministic key positions, no rebalancing).
-    const PrefixTree& lp = *left.prefix();
-    const PrefixTree& rp = *right.prefix();
-    auto scan_slots = [&](ScanSink* sink, const PairScanLevel& level,
-                          size_t begin, size_t end) {
-      SynchronousScanPairSlots(lp, rp, level, begin, end,
-                               [&](const uint8_t*, const ValueList* lv,
-                                   const ValueList* rv) {
-                                 emit_lists(sink, *lv, *rv);
-                               });
-    };
-    RunScan(*ctx, label, shape, left.num_input_tuples(), output.get(),
-            &stats,
-            [&](const engine::MorselSite* site,
-                std::vector<ScanSink>& sinks) -> size_t {
-              if (site == nullptr) {
-                PairScanLevel level = FindPairScanLevel(lp, rp);
-                scan_slots(&sinks[0], level, 0, level.slots.size());
-                return 0;
-              }
-              return engine::RunPrefixPairMorsels(
-                  *site, lp, rp,
-                  [&](size_t w, const PairScanLevel& level, size_t begin,
-                      size_t end) {
-                    scan_slots(&sinks[w], level, begin, end);
-                  });
-            });
-  } else {
-    // Mixed main families (one KISS, one prefix — e.g. a KISS-indexed
-    // base main joined with a prefix-tree intermediate when prefer_kiss
-    // is off): scan the prefix side's keys in order and probe the KISS
-    // side with §2.3 batched, software-prefetched lookups
-    // (KissTree::BatchLookup). Probing with KissKeyOf's 32-bit
-    // truncation reproduces exactly the conflation a KISS x KISS scan
-    // applies to every attribute value — no reconstruction heuristics.
-    // Morsels are the prefix side's branching-level slots (self-pairing
-    // reuses the pair-scan partitioner).
-    const bool left_is_kiss = left.is_kiss();
-    const KissTree& ktree = left_is_kiss ? *left.kiss() : *right.kiss();
-    const PrefixTree& ptree =
-        left_is_kiss ? *right.prefix() : *left.prefix();
-    if (ptree.key_len() != 8) {
-      return Status::InvalidArgument(
-          "star join with mixed KISS/prefix mains requires the prefix main "
-          "to be keyed on the single shared integer join attribute");
-    }
-    // Probes are staged and flushed through BatchLookup in
-    // kMixedProbeBatch groups.
-    auto scan_slots = [&](ScanSink* sink, const PairScanLevel& level,
-                          size_t begin, size_t end) {
-      KissTree::LookupJob jobs[kMixedProbeBatch];
-      const ValueList* prefix_vals[kMixedProbeBatch];
-      size_t n = 0;
-      auto flush = [&] {
-        if (n == 0) return;
-        ktree.BatchLookup(std::span<KissTree::LookupJob>(jobs, n));
-        for (size_t i = 0; i < n; ++i) {
-          if (!jobs[i].found) continue;
-          if (left_is_kiss) {
-            emit_lists(sink, jobs[i].values, *prefix_vals[i]);
-          } else {
-            emit_lists(sink, *prefix_vals[i], jobs[i].values);
-          }
-        }
-        n = 0;
-      };
-      SynchronousScanPairSlots(
-          ptree, ptree, level, begin, end,
-          [&](const uint8_t* key, const ValueList* vals, const ValueList*) {
-            jobs[n].key = static_cast<uint32_t>(DecodeI64(key));  // KissKeyOf
-            prefix_vals[n] = vals;
-            if (++n == kMixedProbeBatch) flush();
+  RunScan(*ctx, display_name(), shape, slices.splittable(), output.get(),
+          &stats,
+          [&](const engine::MorselSite* site,
+              std::vector<ScanSink>& sinks) -> size_t {
+            if (site == nullptr) {
+              emit_units(&sinks[0], 0, slices.total());
+              return 0;
+            }
+            return engine::RunSliceMorsels(
+                *site, slices, [&](size_t w, uint64_t begin, uint64_t end) {
+                  emit_units(&sinks[w], begin, end);
+                });
           });
-      flush();
-    };
-    // Fork on EITHER side being big: the scan runs over the prefix
-    // side's keys, but the bulk of the work is emitting the KISS side's
-    // duplicate lists — a huge fact main joined through a tiny dimension
-    // intermediate still parallelizes by splitting the dimension's keys
-    // (and their emit work) across morsels.
-    RunScan(*ctx, label, shape,
-            std::max(left.num_input_tuples(), right.num_input_tuples()),
-            output.get(), &stats,
-            [&](const engine::MorselSite* site,
-                std::vector<ScanSink>& sinks) -> size_t {
-              if (site == nullptr) {
-                PairScanLevel level = FindPairScanLevel(ptree, ptree);
-                scan_slots(&sinks[0], level, 0, level.slots.size());
-                return 0;
-              }
-              return engine::RunPrefixPairMorsels(
-                  *site, ptree, ptree,
-                  [&](size_t w, const PairScanLevel& level, size_t begin,
-                      size_t end) {
-                    scan_slots(&sinks[w], level, begin, end);
-                  });
-            });
-  }
 
   FillOutputStats(*output, &stats);
   stats.total_ms = total.ElapsedMs();

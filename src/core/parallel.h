@@ -6,10 +6,9 @@
 // assigned to threads without the rebalancing hazards of B-trees (a
 // balancing operation may move already-processed data into another
 // thread's subtree). This header provides that partitioning for both
-// index families plus a simple fork-join driver. PartitionKissRange /
-// PartitionPrefixRange are also the morsel sources of the engine layer
-// (engine/scheduler.h), which turns the substrate into concurrent
-// operator throughput.
+// index families plus a simple fork-join driver. The engine layer
+// partitions its merges the same way (engine/parallel_ops.cc); its scan
+// morsels are ordinal slices (engine::RunSliceMorsels).
 
 #ifndef QPPT_CORE_PARALLEL_H_
 #define QPPT_CORE_PARALLEL_H_
@@ -18,7 +17,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <limits>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -75,17 +73,15 @@ class ForkJoin {
   std::exception_ptr error_;
 };
 
-// Key subranges [lo, hi] (inclusive) covering the intersection of
-// [span_lo, span_hi] with the tree's populated key span, aligned to root
-// buckets so no level-2 node is shared between shards. Returns at most
-// `shards` non-empty ranges, in ascending order.
+// Key subranges [lo, hi] (inclusive) covering the tree's populated key
+// span, aligned to root buckets so no level-2 node is shared between
+// shards. Returns at most `shards` non-empty ranges, in ascending order.
 inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
-    const KissTree& tree, uint32_t span_lo, uint32_t span_hi, size_t shards) {
+    const KissTree& tree, size_t shards) {
   std::vector<std::pair<uint32_t, uint32_t>> ranges;
   if (tree.empty() || shards == 0) return ranges;
-  uint32_t lo = std::max(span_lo, tree.min_key());
-  uint32_t hi = std::min(span_hi, tree.max_key());
-  if (lo > hi) return ranges;
+  uint32_t lo = tree.min_key();
+  uint32_t hi = tree.max_key();
   size_t l2 = tree.level2_bits();
   uint64_t first_bucket = lo >> l2;
   uint64_t last_bucket = hi >> l2;
@@ -105,13 +101,6 @@ inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
     bucket = end_bucket + 1;
   }
   return ranges;
-}
-
-// Full-span overload: covers the tree's whole populated key range.
-inline std::vector<std::pair<uint32_t, uint32_t>> PartitionKissRange(
-    const KissTree& tree, size_t shards) {
-  return PartitionKissRange(tree, 0, std::numeric_limits<uint32_t>::max(),
-                            shards);
 }
 
 // Chops [0, n) into at most `shards` contiguous, non-empty [begin, end)
@@ -166,11 +155,6 @@ inline std::vector<std::pair<size_t, size_t>> PartitionPrefixRange(
   }
   return SpansOverUsedSlots(used, shards);
 }
-
-// (Pair partitioning for the parallel synchronous index scan lives in
-// core/sync_scan.h — FindPairScanLevel descends the shared single-slot
-// chain to the branching level before splitting, so keys with long
-// common encoded prefixes still parallelize.)
 
 // Scans a KISS-Tree with `threads` worker threads, one disjoint key shard
 // set per thread. F: void(size_t shard, uint32_t key,

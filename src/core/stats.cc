@@ -19,14 +19,15 @@ std::string PlanStats::ToString() const {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
-                "%-28s %9s %9s %9s %9s %12s %10s %10s %8s\n", "operator",
-                "total_ms", "mat_ms", "idx_ms", "merge_ms", "out_tuples",
-                "out_keys", "out_MiB", "morsels");
+                "%-28s %9s %9s %9s %9s %9s %12s %10s %10s %8s\n",
+                "operator", "total_ms", "scan_ms", "mat_ms", "idx_ms",
+                "merge_ms", "out_tuples", "out_keys", "out_MiB", "morsels");
   out += line;
   for (const auto& op : operators) {
     std::snprintf(line, sizeof(line),
-                  "%-28s %9.2f %9.2f %9.2f %9.2f %12llu %10llu %10.2f %8llu\n",
-                  op.name.c_str(), op.total_ms, op.materialize_ms,
+                  "%-28s %9.2f %9.2f %9.2f %9.2f %9.2f %12llu %10llu %10.2f "
+                  "%8llu\n",
+                  op.name.c_str(), op.total_ms, op.scan_ms, op.materialize_ms,
                   op.index_ms, op.merge_ms,
                   static_cast<unsigned long long>(op.output_tuples),
                   static_cast<unsigned long long>(op.output_keys),

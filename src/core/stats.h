@@ -46,6 +46,9 @@ struct OperatorStats {
   std::string name;
   std::string output_desc;       // e.g. "kiss(orderdate) 1.2M tuples"
   double total_ms = 0;
+  double scan_ms = 0;            // a scan operator's input scan: key
+                                 // matching, residual loops and fills
+                                 // (slowest worker), pipeline excluded
   double materialize_ms = 0;     // gathering/assembling tuples
   double index_ms = 0;           // building the output index
   double merge_ms = 0;           // folding per-worker partial outputs into

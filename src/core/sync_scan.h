@@ -22,7 +22,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -35,19 +34,13 @@ namespace qppt {
 //
 // F: void(uint32_t key, const KissTree::ValueRef& left_values,
 //         const KissTree::ValueRef& right_values)
-//
-// The range variant restricts the lock-step scan to keys in
-// [span_lo, span_hi] — the engine layer partitions the shared span into
-// disjoint morsels and runs one SynchronousScanRange per morsel, so the
-// join parallelizes without the two trees ever being mutated.
 template <typename F>
-void SynchronousScanRange(const KissTree& left, const KissTree& right,
-                          uint32_t span_lo, uint32_t span_hi, F&& fn) {
+void SynchronousScan(const KissTree& left, const KissTree& right, F&& fn) {
   if (left.empty() || right.empty()) return;
   assert(left.root_size() == right.root_size() &&
          "synchronous scan requires identical root fragment widths");
-  uint32_t lo = std::max({span_lo, left.min_key(), right.min_key()});
-  uint32_t hi = std::min({span_hi, left.max_key(), right.max_key()});
+  uint32_t lo = std::max(left.min_key(), right.min_key());
+  uint32_t hi = std::min(left.max_key(), right.max_key());
   if (lo > hi) return;
   size_t l2 = left.level2_bits();
   size_t first_bucket = lo >> l2;
@@ -67,12 +60,6 @@ void SynchronousScanRange(const KissTree& left, const KissTree& right,
       fn(key, left.DecodeEntry(left_entry), right.DecodeEntry(right_entry));
     });
   }
-}
-
-template <typename F>
-void SynchronousScan(const KissTree& left, const KissTree& right, F&& fn) {
-  SynchronousScanRange(left, right, 0, std::numeric_limits<uint32_t>::max(),
-                       static_cast<F&&>(fn));
 }
 
 // ---- prefix tree x prefix tree ------------------------------------------------
@@ -145,151 +132,6 @@ void SynchronousScan(const PrefixTree& left, const PrefixTree& right,
          "synchronous scan requires identical key layout");
   if (left.num_keys() == 0 || right.num_keys() == 0) return;
   internal::SyncScanRec(left, right, left.root(), right.root(), 0, fn);
-}
-
-// ---- parallel pair scan (branching-level partitioning) -----------------------
-//
-// Order-preserving encodings give keys long shared prefixes (e.g. the
-// sign-flipped leading bytes of small int64 keys), so the top of both
-// trees is a chain of single-slot inner nodes holding zero parallelism.
-// FindPairScanLevel descends that chain to the *branching level*: the
-// shallowest level with more than one jointly populated slot (or a
-// content node). Its slot list is the morsel source of the parallel
-// prefix-tree star join — each jointly populated slot is an independent
-// subtree pair, scanned by SynchronousScanPairSlots.
-
-struct PairScanLevel {
-  const PrefixTree::Node* lnode = nullptr;
-  const PrefixTree::Node* rnode = nullptr;
-  size_t bit_off = 0;          // bit offset of this level's fragment
-  size_t width = 0;            // fragment width at this level
-  std::vector<size_t> slots;   // jointly populated slots, ascending
-};
-
-inline PairScanLevel FindPairScanLevel(const PrefixTree& left,
-                                       const PrefixTree& right) {
-  assert(left.key_len() == right.key_len() &&
-         left.config().kprime == right.config().kprime &&
-         "synchronous scan requires identical key layout");
-  PairScanLevel level;
-  if (left.num_keys() == 0 || right.num_keys() == 0) return level;
-  size_t key_bits = left.key_len() * 8;
-  const PrefixTree::Node* lnode = left.root();
-  const PrefixTree::Node* rnode = right.root();
-  size_t bit_off = 0;
-  for (;;) {
-    size_t width = std::min(left.config().kprime, key_bits - bit_off);
-    level.lnode = lnode;
-    level.rnode = rnode;
-    level.bit_off = bit_off;
-    level.width = width;
-    level.slots.clear();
-    size_t fanout = size_t{1} << width;
-    for (size_t i = 0; i < fanout; ++i) {
-      if (PrefixTree::LoadSlot(&lnode->slots[i]) != 0 &&
-          PrefixTree::LoadSlot(&rnode->slots[i]) != 0) {
-        level.slots.push_back(i);
-      }
-    }
-    if (level.slots.size() != 1) return level;  // branched (or empty): stop
-    PrefixTree::Slot ls = PrefixTree::LoadSlot(&lnode->slots[level.slots[0]]);
-    PrefixTree::Slot rs = PrefixTree::LoadSlot(&rnode->slots[level.slots[0]]);
-    if (PrefixTree::IsContent(ls) || PrefixTree::IsContent(rs) ||
-        bit_off + width >= key_bits) {
-      return level;  // single pair resolves directly — nothing to split
-    }
-    lnode = PrefixTree::AsNode(ls);
-    rnode = PrefixTree::AsNode(rs);
-    bit_off += width;
-  }
-}
-
-// Deeper pair morsels. A branching level with fewer jointly populated
-// slots than the engine wants morsels (SSB's dimension keys branch into
-// a handful of subtrees) would leave workers idle, so
-// SplitPairScanLevel descends below it: each round replaces every
-// inner x inner pair by its children's jointly populated slots, until
-// the pairs reach `target` or none can split further. Pairs with a
-// content node on either side stay whole. The result is a list of
-// levels, each with the slot list of one node pair, in ascending key
-// order; their pairs together cover exactly the keys the input level
-// covers, so scanning every level's slots with SynchronousScanPairSlots
-// visits exactly what SynchronousScan visits. Each morsel stays a slice
-// of one level's slot list.
-inline std::vector<PairScanLevel> SplitPairScanLevel(const PrefixTree& left,
-                                                     PairScanLevel level,
-                                                     size_t target) {
-  std::vector<PairScanLevel> levels;
-  if (level.slots.empty()) return levels;
-  size_t key_bits = left.key_len() * 8;
-  size_t pairs = level.slots.size();
-  levels.push_back(std::move(level));
-  while (pairs < target) {
-    std::vector<PairScanLevel> next;
-    size_t next_pairs = 0;
-    bool split = false;
-    for (const PairScanLevel& lv : levels) {
-      // Consecutive unsplittable slots stay together at this level.
-      PairScanLevel whole{lv.lnode, lv.rnode, lv.bit_off, lv.width, {}};
-      auto flush_whole = [&] {
-        if (whole.slots.empty()) return;
-        next_pairs += whole.slots.size();
-        next.push_back(whole);
-        whole.slots.clear();
-      };
-      for (size_t i : lv.slots) {
-        PrefixTree::Slot ls = PrefixTree::LoadSlot(&lv.lnode->slots[i]);
-        PrefixTree::Slot rs = PrefixTree::LoadSlot(&lv.rnode->slots[i]);
-        if (PrefixTree::IsContent(ls) || PrefixTree::IsContent(rs)) {
-          whole.slots.push_back(i);
-          continue;
-        }
-        flush_whole();
-        split = true;
-        PairScanLevel child;
-        child.lnode = PrefixTree::AsNode(ls);
-        child.rnode = PrefixTree::AsNode(rs);
-        child.bit_off = lv.bit_off + lv.width;
-        child.width = std::min(left.config().kprime, key_bits - child.bit_off);
-        size_t fanout = size_t{1} << child.width;
-        for (size_t c = 0; c < fanout; ++c) {
-          if (PrefixTree::LoadSlot(&child.lnode->slots[c]) != 0 &&
-              PrefixTree::LoadSlot(&child.rnode->slots[c]) != 0) {
-            child.slots.push_back(c);
-          }
-        }
-        // A pair of subtrees with no jointly populated child holds no
-        // match and drops out.
-        if (child.slots.empty()) continue;
-        next_pairs += child.slots.size();
-        next.push_back(std::move(child));
-      }
-      flush_whole();
-    }
-    if (!split) break;
-    levels = std::move(next);
-    pairs = next_pairs;
-  }
-  return levels;
-}
-
-// Scans the subtree pairs behind level.slots[begin..end) (indexes into
-// the slot list), invoking fn exactly like SynchronousScan. Disjoint
-// index subranges touch disjoint subtrees, so concurrent callers need no
-// synchronization. Within a subrange, keys ascend in encoded order.
-template <typename F>
-void SynchronousScanPairSlots(const PrefixTree& left, const PrefixTree& right,
-                              const PairScanLevel& level, size_t begin,
-                              size_t end, F&& fn) {
-  if (level.lnode == nullptr) return;
-  if (end > level.slots.size()) end = level.slots.size();
-  for (size_t s = begin; s < end; ++s) {
-    size_t i = level.slots[s];
-    internal::SyncScanSlotPair(
-        left, right, PrefixTree::LoadSlot(&level.lnode->slots[i]),
-        PrefixTree::LoadSlot(&level.rnode->slots[i]), level.bit_off,
-        level.width, fn);
-  }
 }
 
 }  // namespace qppt

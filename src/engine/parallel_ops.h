@@ -1,14 +1,14 @@
 // Parallel drivers for the hot operators (engine layer, §7).
 //
-// The pattern shared by every parallel operator: partition the input
-// index into disjoint morsels (core/parallel.h — deterministic tree
-// partitions need no rebalancing guard), run the operator's tuple loop
-// per morsel on the worker pool with *per-worker* partial output tables,
-// and merge the partials into the real output once at the end. Both
-// output shapes merge key-range-partitioned across the pool (plain
-// tables re-insert tuples at pre-assigned row ids; aggregated tables
-// fold accumulators via BoundAggSpec::MergeRange) — see
-// PartialOutputs::MergeInto. The input trees are never mutated, so
+// The pattern shared by every parallel operator: resolve the input to
+// its qualifying work, cut that work into morsels with the one
+// ordinal-slice splitter (SliceMap / RunSliceMorsels below), run the
+// operator's tuple loop per morsel on the worker pool with *per-worker*
+// partial output tables, and merge the partials into the real output
+// once at the end. Both output shapes merge key-range-partitioned across
+// the pool (plain tables re-insert tuples at pre-assigned row ids;
+// aggregated tables fold accumulators via BoundAggSpec::MergeRange) —
+// see PartialOutputs::MergeInto. The input trees are never mutated, so
 // concurrent readers need no synchronization.
 //
 // Operators do not call these drivers on their own: the one scan runner,
@@ -26,6 +26,7 @@
 #ifndef QPPT_ENGINE_PARALLEL_OPS_H_
 #define QPPT_ENGINE_PARALLEL_OPS_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -38,7 +39,6 @@
 #include "core/indexed_table.h"
 #include "core/parallel.h"
 #include "core/stats.h"
-#include "core/sync_scan.h"
 #include "engine/scheduler.h"
 #include "obs/trace.h"
 #include "util/cancel.h"
@@ -50,8 +50,10 @@ class ExecContext;  // core/plan.h
 
 namespace qppt::engine {
 
-// Inputs smaller than this run serially — forking costs more than it
-// saves on a few thousand tuples.
+// Scans whose qualifying work (RunScan's split_tuples: resolved index
+// values or emitted pairs that can run in parallel) is smaller than
+// this run serially — forking costs more than it saves on a few
+// thousand tuples. It also sets RunSliceMorsels' smallest morsel.
 inline constexpr size_t kMinParallelInputTuples = 4096;
 
 // Aggregated outputs whose partials hold fewer group entries than this
@@ -176,107 +178,86 @@ class PartialOutputs {
   std::vector<std::unique_ptr<IndexedTable>> partials_;
 };
 
-// Partitions `tree` ∩ [lo, hi] into morsel key ranges and runs
-// fn(worker, morsel_lo, morsel_hi) for each on the site's pool. Returns
-// the number of morsels executed (0 = empty intersection). Templated on
-// the callback (rather than taking a std::function) so operator call
-// sites never type-erase their capture state onto the heap — the morsel
-// drivers sit on every parallel query's hot path.
-template <typename Fn>
-size_t RunKissRangeMorsels(const MorselSite& site, const KissTree& tree,
-                           uint32_t lo, uint32_t hi, const Fn& fn) {
-  auto ranges = PartitionKissRange(
-      tree, lo, hi, site.tuner->MorselTarget(site.pool->num_workers()));
-  if (ranges.empty()) return 0;
-  RunTimedMorsels(site, ranges.size(), [&](size_t worker, size_t m) {
-    fn(worker, ranges[m].first, ranges[m].second);
-  });
-  return ranges.size();
-}
+// ---- the ordinal-slice splitter -----------------------------------------------
+//
+// Every scan operator splits its work the same way. It first resolves
+// its input to a list of items, each worth a number of units of work in
+// scan order — the unit RunScan forks on: a selection's items are the
+// ordinal runs its key predicate resolves to (one unit per qualifying
+// index value), a star join's the matching key pairs (one unit per
+// emitted pair). SliceMap lays the items end to end; a morsel is a
+// fixed-size slice of that unit line. An item is cut into chunks of its
+// *grain*: a clustered run is cut anywhere (grain 1), a star-join match
+// at each ordinal of its clustered fact side, and what cannot be cut
+// (a value list of a secondary or live index) is one chunk. A chunk is
+// scanned whole by the slice that holds its first unit, so one heavy
+// clustered key never holds back a morsel, and the morsels of a batch
+// carry the same qualifying work up to one chunk — which keeps the
+// site's MorselTuner from reading size differences as skew.
+class SliceMap {
+ public:
+  // Adds an item of `units` units, cut at multiples of `grain` units
+  // (grain >= units: the item is one chunk).
+  void Add(uint64_t units, uint64_t grain = 1) {
+    grain = std::max<uint64_t>(1, std::min(grain, units));
+    ends_.push_back(total() + units);
+    grains_.push_back(grain);
+    max_grain_ = std::max(max_grain_, grain);
+  }
+  uint64_t total() const { return ends_.empty() ? 0 : ends_.back(); }
+  size_t size() const { return ends_.size(); }
 
-// Pair-partitions two prefix trees below their branching level
-// (FindPairScanLevel, then SplitPairScanLevel down to the site's morsel
-// target, core/sync_scan.h) and runs fn(worker, level, begin, end) for
-// each slot-list slice on the pool — the driver of the parallel
-// prefix-tree star join; the callback scans its slice with
-// SynchronousScanPairSlots. Each level's slot list gets its share of
-// the `target` morsels by pair count (at least one). Returns the number
-// of morsels
-// executed (0 = the trees share no subtree). Templated for the same
-// no-type-erasure reason as RunKissRangeMorsels above.
-template <typename Fn>
-size_t RunPrefixPairMorsels(const MorselSite& site, const PrefixTree& left,
-                            const PrefixTree& right, const Fn& fn) {
-  const size_t target = site.tuner->MorselTarget(site.pool->num_workers());
-  std::vector<PairScanLevel> levels =
-      SplitPairScanLevel(left, FindPairScanLevel(left, right), target);
-  size_t pairs = 0;
-  for (const PairScanLevel& level : levels) pairs += level.slots.size();
-  if (pairs == 0) return 0;
-  struct Morsel {
-    size_t level, begin, end;
-  };
-  std::vector<Morsel> morsels;
-  for (size_t l = 0; l < levels.size(); ++l) {
-    const size_t n = levels[l].slots.size();
-    const size_t share = (target * n + pairs - 1) / pairs;
-    for (auto [begin, end] : SplitEvenly(n, share)) {
-      morsels.push_back({l, begin, end});
+  // The units that can run beside the largest chunk: RunScan's
+  // split_tuples. A scan whose work sits in one chunk cannot split, so
+  // it stays serial.
+  uint64_t splittable() const { return total() - max_grain_; }
+
+  // Calls fn(item, lo, hi) for every item with a chunk whose first unit
+  // lies in [begin, end), in item order; [lo, hi) are the indexes of
+  // those chunks within the item (chunk c covers the item's units
+  // [c * grain, (c + 1) * grain); for grain 1, chunks are units).
+  template <typename Fn>
+  void ForEachPiece(uint64_t begin, uint64_t end, Fn&& fn) const {
+    size_t item = static_cast<size_t>(
+        std::upper_bound(ends_.begin(), ends_.end(), begin) - ends_.begin());
+    for (; item < ends_.size() && begin < end; ++item) {
+      const uint64_t item_begin = item == 0 ? 0 : ends_[item - 1];
+      const uint64_t stop = std::min(end, ends_[item]);
+      const uint64_t g = grains_[item];
+      const uint64_t lo = (begin - item_begin + g - 1) / g;
+      const uint64_t hi = (stop - item_begin + g - 1) / g;
+      if (lo < hi) fn(item, lo, hi);
+      begin = stop;
     }
   }
-  RunTimedMorsels(site, morsels.size(), [&](size_t worker, size_t m) {
-    const Morsel& mo = morsels[m];
-    fn(worker, levels[mo.level], mo.begin, mo.end);
-  });
-  return morsels.size();
-}
 
-// Values per slice morsel when the gather fallback below kicks in.
-inline constexpr size_t kMinSliceValues = 1024;
+ private:
+  std::vector<uint64_t> ends_;    // running unit totals, one per item
+  std::vector<uint64_t> grains_;  // chunk size, one per item
+  uint64_t max_grain_ = 0;
+};
 
-// Runs process(worker, value) for every value stored under tree ∩
-// [lo, hi]. Prefers disjoint key-range morsels; when the populated span
-// has too few root buckets to feed the workers (a low-cardinality
-// selection attribute — e.g. eleven discount values, each with a
-// million-entry duplicate list), it gathers the qualifying values once
-// and morsels over slices of the gathered vector instead. Returns the
-// morsel count (0 = nothing qualified).
-template <typename ProcessFn>
-size_t RunKissValueMorsels(const MorselSite& site, const KissTree& tree,
-                           uint32_t lo, uint32_t hi, ProcessFn&& process) {
-  WorkerPool* pool = site.pool;
-  const size_t target = site.tuner->MorselTarget(pool->num_workers());
-  auto ranges = PartitionKissRange(tree, lo, hi, target);
-  if (ranges.empty()) return 0;
-  if (ranges.size() >= pool->num_workers()) {
-    RunTimedMorsels(site, ranges.size(),
-                    [&](size_t worker, size_t m) {
-                      tree.ScanRange(
-                          ranges[m].first, ranges[m].second,
-                          [&](uint32_t, const KissTree::ValueRef& vals) {
-                            vals.ForEach(
-                                [&](uint64_t v) { process(worker, v); });
-                          });
-                    });
-    return ranges.size();
-  }
-  std::vector<uint64_t> values;
-  CancelTicker cancel(site.cancel);
-  tree.ScanRange(lo, hi, [&](uint32_t, const KissTree::ValueRef& vals) {
-    vals.ForEach([&](uint64_t v) {
-      cancel.Tick();
-      values.push_back(v);
-    });
-  });
-  if (values.empty()) return 0;
-  auto slices = SplitEvenly(
-      values.size(),
-      std::min(target,
-               (values.size() + kMinSliceValues - 1) / kMinSliceValues));
+// Cuts the map's units into the site's morsel target of near-equal
+// slices and runs fn(worker, begin, end) on the pool for each slice
+// [begin, end) of units; the callback walks its slice with
+// map.ForEachPiece. A slice holds at least half of
+// kMinParallelInputTuples (or the whole map, if smaller), so a scan that
+// just reaches the fork threshold still runs two morsels. Returns the number of morsels
+// executed (0 = no units). Templated on the callback (rather than
+// taking a std::function) so operator call sites never type-erase their
+// capture state onto the heap — the driver sits on every parallel
+// query's hot path.
+template <typename Fn>
+size_t RunSliceMorsels(const MorselSite& site, const SliceMap& map,
+                       const Fn& fn) {
+  const uint64_t total = map.total();
+  const size_t target = static_cast<size_t>(std::clamp<uint64_t>(
+      total / (kMinParallelInputTuples / 2), 1,
+      site.tuner->MorselTarget(site.pool->num_workers())));
+  const auto slices = SplitEvenly(total, target);
+  if (slices.empty()) return 0;
   RunTimedMorsels(site, slices.size(), [&](size_t worker, size_t m) {
-    for (size_t i = slices[m].first; i < slices[m].second; ++i) {
-      process(worker, values[i]);
-    }
+    fn(worker, uint64_t{slices[m].first}, uint64_t{slices[m].second});
   });
   return slices.size();
 }

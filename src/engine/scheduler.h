@@ -1,8 +1,8 @@
 // Work-stealing morsel scheduler — the engine's execution substrate.
 //
 // A fixed pool of worker threads executes *morsels*: small, independent
-// units of operator work (typically one disjoint key subrange produced by
-// PartitionKissRange / PartitionPrefixRange, core/parallel.h). Each
+// units of operator work (typically one fixed-size slice of a scan's
+// qualifying ordinals, cut by RunSliceMorsels, engine/parallel_ops.h). Each
 // worker owns a deque; a submitted batch is spread round-robin across the
 // deques, workers pop their own deque LIFO and steal FIFO from others
 // when idle. Morsels from *different* concurrent queries interleave

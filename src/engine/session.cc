@@ -683,9 +683,10 @@ Result<std::string> EngineRunner::ExplainAnalyze(const Database& db,
     if (!is_stage || row >= executed.operators.size()) continue;
     const OperatorStats& op = executed.operators[row++];
     std::snprintf(buf, sizeof(buf),
-                  "    -> %.3f ms (materialize %.3f, index %.3f, merge "
-                  "%.3f) | in %llu out %llu tuples, %llu keys",
-                  op.total_ms, op.materialize_ms, op.index_ms, op.merge_ms,
+                  "    -> %.3f ms (scan %.3f, materialize %.3f, index %.3f, "
+                  "merge %.3f) | in %llu out %llu tuples, %llu keys",
+                  op.total_ms, op.scan_ms, op.materialize_ms, op.index_ms,
+                  op.merge_ms,
                   static_cast<unsigned long long>(op.input_tuples),
                   static_cast<unsigned long long>(op.output_tuples),
                   static_cast<unsigned long long>(op.output_keys));

@@ -28,22 +28,12 @@ void ValueList::Append(uint64_t value, PageArena* arena) {
     if (bytes > kMaxSegmentBytes) bytes = kMaxSegmentBytes;
     if (bytes < kFirstSegmentBytes) bytes = kFirstSegmentBytes;
     Segment* fresh = static_cast<Segment*>(arena->Allocate(bytes));
-    // The ring closes from the newest segment back to the oldest.
-    // relaxed: the writer reading back its own link to the oldest.
-    Segment* oldest =
-        seg == nullptr ? fresh : seg->next.load(std::memory_order_relaxed);
-    // relaxed: the ring-link and head release stores below publish it.
-    fresh->next.store(oldest, std::memory_order_relaxed);
+    fresh->next = seg;
     fresh->capacity =
         static_cast<uint32_t>((bytes - sizeof(Segment)) / sizeof(uint64_t));
-    // relaxed: published by the same release stores.
-    fresh->used.store(0, std::memory_order_relaxed);
-    // Fully initialized before readers can reach it: through the old
-    // newest segment's link, then through the head.
-    if (seg != nullptr) {
-      // pairs-with: dup-ring
-      seg->next.store(fresh, std::memory_order_release);
-    }
+    fresh->used.store(0, std::memory_order_relaxed);  // relaxed: the
+    // head release store below publishes the initialized segment.
+    // Fully initialized before readers can reach it.
     // pairs-with: dup-head
     head_.store(fresh, std::memory_order_release);
     seg = fresh;

@@ -8,12 +8,15 @@
 // because prefetchers do not cross page boundaries anyway.
 //
 // Layout per key:  first value inline in the content entry (no allocation
-// for unique keys), plus the segments for the rest. The list head points
-// at the newest segment, so an append never walks the list; the segments
-// themselves form a ring from the oldest to the newest, closed by the
-// newest's link back to the oldest, so a scan visits the values in
-// insertion order. A key-ordered base-index build inserts each key's
-// values in ascending order, and its scans then read forward only.
+// for unique keys), plus a front-linked list of segments for the rest. A
+// scan visits the inline value, then the segments newest first; values
+// form a multiset, and no caller depends on their order.
+//
+// Clustered base indexes store no duplicates at all: their tree maps each
+// key to one inline value, the key's rank, which names an ordinal run of
+// the key-ordered heap (core/base_index.h). Value lists hold the rids of
+// secondary and live base indexes and the tuple ids of intermediate
+// indexed tables.
 //
 // LinkedDuplicateList is the naive linked-list alternative, kept for the
 // ablation benchmark (E8) that quantifies this design choice.
@@ -67,29 +70,22 @@ class ValueList {
 
   uint64_t first() const { return first_; }
 
-  // Visits every value in insertion order. F: void(uint64_t). A scan
-  // racing an append may also visit the appended values; a segment
-  // linked in meanwhile is visited first (the walk starts at whatever
-  // follows the newest segment it loaded and stops at that segment).
+  // Visits every value. F: void(uint64_t). Order: the inline value, then
+  // the segments newest first (as in the paper); duplicates are a
+  // multiset. A scan racing an append may also visit appended values.
   template <typename F>
   void ForEach(F&& fn) const {
     if (count_.load(std::memory_order_acquire) == 0) return;
     fn(first_);
-    const Segment* newest = head_.load(std::memory_order_acquire);
-    if (newest == nullptr) return;
-    const Segment* seg = newest->next.load(std::memory_order_acquire);
-    for (;;) {
-      const Segment* next =
-          seg == newest ? nullptr : seg->next.load(std::memory_order_acquire);
+    for (const Segment* seg = head_.load(std::memory_order_acquire);
+         seg != nullptr; seg = seg->next) {
       // Segments live on different pages; kick off the next segment's
       // header fetch while this segment streams at hardware-prefetch
       // speed (prefetching nullptr is harmless).
-      PrefetchRead(next);
+      PrefetchRead(seg->next);
       const uint64_t* values = seg->values();
       uint32_t used = seg->used.load(std::memory_order_acquire);
       for (uint32_t i = 0; i < used; ++i) fn(values[i]);
-      if (next == nullptr) return;
-      seg = next;
     }
   }
 
@@ -102,8 +98,7 @@ class ValueList {
 
  private:
   struct Segment {
-    // The next-newer segment; the newest links back to the oldest.
-    std::atomic<Segment*> next{nullptr};
+    Segment* next = nullptr;  // the next-older segment
     uint32_t capacity = 0;  // in values
     std::atomic<uint32_t> used{0};
 

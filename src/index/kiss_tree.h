@@ -189,12 +189,14 @@ class KissTree {
   // Insert-or-update: sets `key`'s values to exactly {value} (Fig. 3(a)).
   void Upsert(uint32_t key, uint64_t value);
 
-  // Resolved view of a key's values.
+  // Resolved view of a key's values. Also wraps a prefix tree's
+  // ValueList, so scans over either family can hold one entry type.
   class ValueRef {
    public:
     ValueRef() = default;
     ValueRef(uint64_t inline_value, const ValueList* list)
         : inline_value_(inline_value), list_(list) {}
+    explicit ValueRef(const ValueList* list) : list_(list) {}
 
     uint32_t size() const {
       return list_ != nullptr ? list_->size() : 1;

@@ -157,14 +157,28 @@ class CancelTicker {
   void Tick() {
     if (--countdown_ == 0) {
       countdown_ = kCancelStride;
-      if (token_ != nullptr) {
-        Status st = token_->Check();
-        if (!st.ok()) throw CancelledException(std::move(st));
-      }
+      Poll();
     }
   }
 
+  // Counts `n` tuples at once (a block-at-a-time loop's tick).
+  void Tick(uint32_t n) {
+    if (n < countdown_) {
+      countdown_ -= n;
+      return;
+    }
+    countdown_ = kCancelStride;
+    Poll();
+  }
+
  private:
+  void Poll() const {
+    if (token_ != nullptr) {
+      Status st = token_->Check();
+      if (!st.ok()) throw CancelledException(std::move(st));
+    }
+  }
+
   const CancelToken* token_;
   uint32_t countdown_ = kCancelStride;
 };

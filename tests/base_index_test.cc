@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <climits>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -375,6 +377,172 @@ TEST(BaseIndexKeyOrderTest, SnapshotBuildOrdersVisibleRows) {
                                            {"pay"}, SmallKiss());
   ASSERT_TRUE(none.ok()) << none.status();
   EXPECT_EQ((*none)->num_rows(), 0u);
+}
+
+// ---- ordinal runs ----------------------------------------------------------------
+//
+// A clustered index resolves every key predicate to ordinal runs: each
+// matching key's RunOf is the heap slice of exactly the rows with that
+// key. Checked against a std::multimap from key to rid, for both
+// families, on unique keys, few keys, heavy duplicates (thousands per
+// key), negative keys and an empty table.
+
+// The rids of `runs`' ordinals, in ordinal order.
+std::vector<Rid> RidsOfRuns(const BaseIndex& index,
+                            const std::vector<BaseIndex::Run>& runs) {
+  auto rid = index.BindColumn("@rid");
+  EXPECT_TRUE(rid.ok());
+  std::vector<Rid> rids;
+  for (const BaseIndex::Run& run : runs) {
+    EXPECT_LT(run.begin, run.end) << "empty run";
+    for (uint64_t o = run.begin; o < run.end; ++o) rids.push_back(rid->Get(o));
+  }
+  return rids;
+}
+
+// The rids of the multimap's keys in [lo, hi], in key order.
+std::vector<Rid> ReferenceRids(const std::multimap<int64_t, Rid>& ref,
+                               int64_t lo, int64_t hi) {
+  std::vector<Rid> rids;
+  for (auto it = ref.lower_bound(lo); it != ref.end() && it->first <= hi;
+       ++it) {
+    rids.push_back(it->second);
+  }
+  return rids;
+}
+
+void ExpectRunsMatchReference(const BaseIndex& index, const RowTable& table,
+                              size_t key_col) {
+  // The tree's key order: KISS orders the 32-bit KissKeyOf, so negative
+  // keys sort after the others; a prefix tree orders int64 values.
+  const bool kiss = index.kind() == BaseIndex::Kind::kKiss;
+  auto ord = [&](int64_t k) {
+    return kiss ? static_cast<int64_t>(BaseIndex::KissKeyOf(SlotFromInt64(k)))
+                : k;
+  };
+  std::multimap<int64_t, Rid> ref;  // equal keys keep input (rid) order
+  for (Rid r = 0; r < table.num_rows(); ++r) {
+    ref.emplace(ord(Int64FromSlot(table.GetSlot(r, key_col))), r);
+  }
+  auto runs_of = [&](auto&& resolve) {
+    std::vector<BaseIndex::Run> runs;
+    resolve([&](const KissTree::ValueRef& e) {
+      runs.push_back(index.RunOf(e));
+      EXPECT_EQ(index.CountIn(e), runs.back().size());
+      EXPECT_EQ(index.FirstIn(e), runs.back().begin);
+    });
+    return runs;
+  };
+
+  // All keys: the runs tile [0, num_rows) in ascending order.
+  auto all = runs_of([&](auto&& g) { index.ForEachEntry(g); });
+  uint64_t at = 0;
+  for (const BaseIndex::Run& run : all) {
+    EXPECT_EQ(run.begin, at);
+    at = run.end;
+  }
+  EXPECT_EQ(at, table.num_rows());
+  EXPECT_EQ(all.size(), index.num_keys());
+  EXPECT_EQ(RidsOfRuns(index, all),
+            ReferenceRids(ref, INT64_MIN, INT64_MAX));
+
+  std::vector<int64_t> keys;  // distinct keys, as stored
+  for (Rid r = 0; r < table.num_rows(); ++r) {
+    keys.push_back(Int64FromSlot(table.GetSlot(r, key_col)));
+  }
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  Rng rng(29);
+  for (int probe = 0; probe < 40 && !keys.empty(); ++probe) {
+    const int64_t k = keys[rng.NextBounded(keys.size())];
+    // Point: one run, exactly the key's rows; the value scan agrees.
+    auto point = runs_of(
+        [&](auto&& g) { index.ForEachMatchEntry(SlotFromInt64(k), g); });
+    ASSERT_EQ(point.size(), 1u);
+    EXPECT_EQ(RidsOfRuns(index, point), ReferenceRids(ref, ord(k), ord(k)));
+    std::vector<uint64_t> values;
+    index.ForEachMatch(SlotFromInt64(k),
+                       [&](uint64_t v) { values.push_back(v); });
+    ASSERT_EQ(values.size(), point[0].size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(values[i], point[0].begin + i);
+    }
+    // Range: consecutive runs, the reference's rows in key order. The
+    // range keeps the sign of k, where both orders agree.
+    int64_t hi = k + static_cast<int64_t>(rng.NextBounded(40));
+    if (k < 0) hi = std::min<int64_t>(hi, -1);
+    auto range = runs_of([&](auto&& g) {
+      index.ForEachEntryInRange(SlotFromInt64(k), SlotFromInt64(hi), g);
+    });
+    for (size_t i = 1; i < range.size(); ++i) {
+      EXPECT_EQ(range[i].begin, range[i - 1].end);
+    }
+    EXPECT_EQ(RidsOfRuns(index, range), ReferenceRids(ref, ord(k), ord(hi)));
+    // IN: one run per present point, in the points' order.
+    const int64_t absent = keys.back() + 1;  // past every stored key
+    const int64_t other = keys[rng.NextBounded(keys.size())];
+    auto in = runs_of([&](auto&& g) {
+      for (int64_t p : {other, absent, k}) {
+        index.ForEachMatchEntry(SlotFromInt64(p), g);
+      }
+    });
+    std::vector<Rid> expected = ReferenceRids(ref, ord(other), ord(other));
+    for (Rid r : ReferenceRids(ref, ord(k), ord(k))) expected.push_back(r);
+    EXPECT_EQ(RidsOfRuns(index, in), expected);
+  }
+}
+
+TEST(BaseIndexRunTest, PredicatesResolveToReferenceRuns) {
+  auto table = MakeKeyOrderTable(6000);
+  const char* names[] = {"wide", "few", "tiny"};
+  for (bool kiss : {true, false}) {
+    for (size_t col = 0; col < 3; ++col) {
+      SCOPED_TRACE((kiss ? "kiss " : "prefix ") + std::string(names[col]));
+      auto index =
+          BaseIndex::Build(table.get(), {names[col]}, {"pay"}, Family(kiss));
+      ASSERT_TRUE(index.ok()) << index.status();
+      ExpectRunsMatchReference(**index, *table, col);
+    }
+  }
+}
+
+TEST(BaseIndexRunTest, EmptyTableResolvesToNoRuns) {
+  RowTable table(KeyOrderSchema(), "empty");
+  for (bool kiss : {true, false}) {
+    auto index = BaseIndex::Build(&table, {"few"}, {"pay"}, Family(kiss));
+    ASSERT_TRUE(index.ok()) << index.status();
+    size_t entries = 0;
+    (*index)->ForEachEntry([&](const KissTree::ValueRef&) { ++entries; });
+    (*index)->ForEachMatchEntry(SlotFromInt64(3),
+                                [&](const KissTree::ValueRef&) { ++entries; });
+    (*index)->ForEachEntryInRange(SlotFromInt64(-20), SlotFromInt64(20),
+                                  [&](const KissTree::ValueRef&) {
+                                    ++entries;
+                                  });
+    EXPECT_EQ(entries, 0u);
+  }
+}
+
+// A clustered index stores one tree value per key (its rank), so its
+// memory is the heap plus the keys, not one value per row.
+TEST(BaseIndexRunTest, ClusteredTreeHoldsOneValuePerKey) {
+  auto table = MakeKeyOrderTable(6000);
+  for (bool kiss : {true, false}) {
+    auto clustered =
+        BaseIndex::Build(table.get(), {"tiny"}, {"pay"}, Family(kiss));
+    auto secondary = BaseIndex::Build(table.get(), {"tiny"}, {}, Family(kiss));
+    ASSERT_TRUE(clustered.ok() && secondary.ok());
+    size_t ranks = 0;
+    (*clustered)->ForEachEntry([&](const KissTree::ValueRef& e) {
+      EXPECT_EQ(e.size(), 1u);
+      EXPECT_EQ(e.front(), ranks++);
+    });
+    EXPECT_EQ(ranks, 3u);
+    uint64_t values = 0;
+    (*secondary)->ForEachEntry(
+        [&](const KissTree::ValueRef& e) { values += e.size(); });
+    EXPECT_EQ(values, 6000u);
+  }
 }
 
 // ---- Database -----------------------------------------------------------------

@@ -690,34 +690,32 @@ TEST(MorselTunerTest, InterleavedSitesTuneIndependently) {
   EXPECT_EQ(pool.tuner()->per_worker(), engine::MorselTuner::kBasePerWorker);
 }
 
-// The tuner feedback is wired into the drivers: a skewed key
-// distribution (one giant duplicate chain) refines the site's split.
+// The tuner feedback is wired into the drivers: slices of equal size
+// but skewed per-unit cost (the first item's units cost 64x the
+// others') refine the site's split.
 TEST(MorselTunerTest, DriverFeedbackRefinesPoolTarget) {
   engine::WorkerPool pool(2);
   const engine::MorselSite site = PoolContext(&pool).Site();
   engine::MorselTuner* tuner = site.tuner.get();
   size_t before = tuner->per_worker();
-  KissTree tree;
-  size_t l2 = tree.level2_bits();
-  // 64 buckets; bucket 0 holds 64x the work of the others.
-  for (uint32_t b = 0; b < 64; ++b) {
-    for (uint32_t i = 0; i < (b == 0 ? 6400u : 100u); ++i) {
-      tree.Insert(static_cast<uint32_t>(b << l2) + (i % 8), i);
-    }
-  }
+  engine::SliceMap map;
+  for (int item = 0; item < 64; ++item) map.Add(100);
   std::atomic<uint64_t> seen{0};
   for (int round = 0; round < 20; ++round) {
-    engine::RunKissRangeMorsels(
-        site, tree, 0, 0xFFFFFFFFu,
-        [&](size_t, uint32_t lo, uint32_t hi) {
-          tree.ScanRange(lo, hi,
-                         [&](uint32_t, const KissTree::ValueRef& vals) {
-                           // Simulate per-tuple work so the skew is
-                           // measurable on a fast machine.
-                           vals.ForEach([&](uint64_t v) {
-                             seen.fetch_add(v, std::memory_order_relaxed);
+    engine::RunSliceMorsels(
+        site, map, [&](size_t, uint64_t begin, uint64_t end) {
+          map.ForEachPiece(begin, end,
+                           [&](size_t item, uint64_t lo, uint64_t hi) {
+                             // Simulate per-tuple work so the skew is
+                             // measurable on a fast machine.
+                             const uint64_t reps = item == 0 ? 6400 : 100;
+                             for (uint64_t u = lo; u < hi; ++u) {
+                               for (uint64_t r = 0; r < reps; ++r) {
+                                 seen.fetch_add(r,
+                                                std::memory_order_relaxed);
+                               }
+                             }
                            });
-                         });
         });
     if (tuner->per_worker() > before) break;
   }

@@ -156,6 +156,8 @@ TEST_F(ParallelCancelTest, SelectionStopsBeforeAnyMorsel) {
   SelectionSpec spec;
   spec.input_index = "sales_amount";
   spec.predicate = KeyPredicate::Range(10, 90);
+  // A residual: a plain selection that only copies heap rows stays serial.
+  spec.residuals = {Residual::Ge("partkey", 0)};
   spec.carry_columns = {"amount", "partkey"};
   spec.output = PlainOutput({"partkey"});
   SelectionOp op(spec);
@@ -223,19 +225,14 @@ class CancelledSiteTest : public ::testing::Test {
 TEST_F(CancelledSiteTest, MorselDriversRunNoBody) {
   const engine::MorselSite site(ctx_, "cancelled");
   ASSERT_EQ(site.cancel, &token_);
-  KissTree tree;
-  for (uint32_t k = 0; k < 50000; ++k) tree.Insert(k * 37, k);
   std::atomic<size_t> bodies{0};
   EXPECT_THROW(engine::RunTimedMorsels(site, 64,
                                        [&](size_t, size_t) { ++bodies; }),
                CancelledException);
-  EXPECT_THROW(engine::RunKissRangeMorsels(
-                   site, tree, 0, 0xFFFFFFFFu,
-                   [&](size_t, uint32_t, uint32_t) { ++bodies; }),
-               CancelledException);
-  EXPECT_THROW(engine::RunKissValueMorsels(
-                   site, tree, 0, 0xFFFFFFFFu,
-                   [&](size_t, uint64_t) { ++bodies; }),
+  engine::SliceMap map;
+  for (int item = 0; item < 100; ++item) map.Add(500);
+  EXPECT_THROW(engine::RunSliceMorsels(
+                   site, map, [&](size_t, uint64_t, uint64_t) { ++bodies; }),
                CancelledException);
   EXPECT_EQ(bodies.load(), 0u);
   EXPECT_EQ(CountSpans(ctx_, obs::SpanKind::kMorsel), 0u);

@@ -96,8 +96,7 @@ void CancelCoverageCheck::registerMatchers(MatchFinder *Finder) {
   // call, so an unpolled call site is an unpolled loop.
   auto ScanCall =
       callExpr(callee(functionDecl(hasAnyName(
-                   "SynchronousScan", "SynchronousScanRange",
-                   "SynchronousScanPairSlots", "ScanAll", "ScanGroups",
+                   "SynchronousScan", "ScanAll", "ScanGroups",
                    "ForEachMatch"))))
           .bind("site");
   Finder->addMatcher(ScanCall, this);
