@@ -102,8 +102,52 @@ CandidatePipeline::CandidatePipeline(const PipelineShape& shape,
       key_positions_(shape.key_positions),
       key_slots_(key_positions_.size()),
       buffer_rows_(shape.buffer_rows < 1 ? 1 : shape.buffer_rows),
+      probe_ms_(assists_.size(), 0.0),
       funnel_(assists_.size()) {
-  candidates_.reserve(buffer_rows_ * width_);
+  size_t offset = 0;
+  for (const BoundSide* main : shape.mains) {
+    sources_.push_back({main, offset});
+    offset += main->num_columns();
+  }
+  for (const BoundAssist& assist : assists_) {
+    // The probe key is a column of an earlier source: a main side or the
+    // carry of an earlier assist.
+    Probe probe{0, 0, kNoSlot};
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      const Source& src = sources_[s];
+      if (assist.probe_pos >= src.row_offset &&
+          assist.probe_pos < src.row_offset + src.side->num_columns()) {
+        probe.slot = s;
+        probe.column = assist.probe_pos - src.row_offset;
+      }
+    }
+    if (assist.side.num_columns() > 0) {
+      probe.out_slot = sources_.size();
+      sources_.push_back({&assist.side, assist.carry_offset});
+    }
+    probes_.push_back(probe);
+  }
+  ref_width_ = sources_.size();
+  refs_.resize(buffer_rows_ * ref_width_);
+  next_.resize(buffer_rows_ * ref_width_);
+}
+
+void CandidatePipeline::StageBlock(const uint64_t* values, size_t n) {
+  while (n > 0) {
+    const size_t take = std::min(n, buffer_rows_ - count_);
+    uint64_t* ref = refs_.data() + count_ * ref_width_;
+    for (size_t i = 0; i < take; ++i) ref[i * ref_width_] = values[i];
+    count_ += take;
+    values += take;
+    n -= take;
+    if (count_ == buffer_rows_) Process();
+  }
+}
+
+double CandidatePipeline::materialize_ms() const {
+  double ms = 0;
+  for (double probe_ms : probe_ms_) ms += probe_ms;
+  return ms + fill_ms_;
 }
 
 void CandidatePipeline::AddFunnelTo(OperatorStats* stats) const {
@@ -117,104 +161,143 @@ void CandidatePipeline::AddFunnelTo(OperatorStats* stats) const {
   stats->inserted_rows += inserted_rows_;
 }
 
-uint64_t* CandidatePipeline::AddRow() {
-  size_t at = candidates_.size();
-  candidates_.resize(at + width_, 0);
-  return candidates_.data() + at;
+void CandidatePipeline::SetTimesOn(OperatorStats* stats) const {
+  stats->materialize_ms = materialize_ms();
+  stats->fill_ms = fill_ms_;
+  for (size_t i = 0; i < probe_ms_.size(); ++i) {
+    stats->funnel[i].probe_ms = probe_ms_[i];
+  }
 }
 
 void CandidatePipeline::Process() {
-  if (candidates_.empty()) return;
+  size_t n = count_;
+  count_ = 0;
+  if (n == 0) return;
+  candidate_rows_ += n;
   Timer phase;
-  std::vector<uint64_t>* rows = &candidates_;
-  candidate_rows_ += rows->size() / width_;
-  for (size_t a = 0; a < assists_.size(); ++a) {
-    const BoundAssist& assist = assists_[a];
-    size_t n = rows->size() / width_;
-    if (n == 0) break;
+  for (size_t a = 0; a < assists_.size() && n > 0; ++a) {
     funnel_[a].rows_in += n;
-    next_stage_.clear();
-    const KissTree* kiss = assist.side.kiss();
-    auto expand = [&](const uint64_t* row, uint64_t assist_value) {
-      if (!assist.side.Visible(assist_value)) return;
-      size_t at = next_stage_.size();
-      next_stage_.insert(next_stage_.end(), row, row + width_);
-      assist.side.Fill(assist_value,
-                       next_stage_.data() + at + assist.carry_offset);
-    };
-    if (kiss != nullptr && buffer_rows_ > 1) {
+    n = RunAssist(a, n);
+    funnel_[a].rows_out += n;
+    probe_ms_[a] += phase.ElapsedMs();
+    phase.Restart();
+  }
+  if (n == 0) return;
+  Fill(n);
+  fill_ms_ += phase.ElapsedMs();
+  phase.Restart();
+  Insert(n);
+  index_ms_ += phase.ElapsedMs();
+  inserted_rows_ += n;
+}
+
+void CandidatePipeline::GatherKeys(const Probe& probe, size_t n) {
+  const BoundSide& side = *sources_[probe.slot].side;
+  const uint64_t* ref = refs_.data() + probe.slot;
+  const size_t w = ref_width_;
+  keys_.resize(n);
+  uint64_t* keys = keys_.data();
+  if (const uint64_t* column = side.heap_column(probe.column)) {
+    // A typed strided heap read, as in ResidualLoop.
+    const size_t stride = side.heap_stride(probe.column);
+    for (size_t i = 0; i < n; ++i) keys[i] = column[ref[i * w] * stride];
+  } else {
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = side.Get(probe.column, ref[i * w]);
+    }
+  }
+}
+
+size_t CandidatePipeline::RunAssist(size_t a, size_t n) {
+  const BoundAssist& assist = assists_[a];
+  const Probe& probe = probes_[a];
+  GatherKeys(probe, n);
+  const size_t w = ref_width_;
+  size_t out = 0;
+  // Appends candidate i, extended by its match `value` if it is visible
+  // (a semi-join only repeats it).
+  auto expand = [&](size_t i, uint64_t value) {
+    if (!assist.side.Visible(value)) return;
+    if ((out + 1) * w > next_.size()) next_.resize(2 * next_.size() + w);
+    const uint64_t* src = refs_.data() + i * w;
+    uint64_t* dst = next_.data() + out * w;
+    std::copy(src, src + w, dst);
+    if (probe.out_slot != kNoSlot) dst[probe.out_slot] = value;
+    ++out;
+  };
+  auto expand_all = [&](size_t i, const KissTree::ValueRef& values) {
+    assist.side.ForEachIn(values, [&](uint64_t v) { expand(i, v); });
+  };
+  if (const KissTree* kiss = assist.side.kiss()) {
+    if (buffer_rows_ > 1) {
       // Batched probes with prefetch pipelining (the joinbuffer payoff).
       jobs_.clear();
       jobs_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        jobs_[i].key = IndexedTable::KissKeyOf(
-            (*rows)[i * width_ + assist.probe_pos]);
+        jobs_[i].key = IndexedTable::KissKeyOf(keys_[i]);
       }
       kiss->BatchLookup(jobs_);
       for (size_t i = 0; i < n; ++i) {
-        if (!jobs_[i].found) continue;
-        const uint64_t* row = rows->data() + i * width_;
-        assist.side.ForEachIn(jobs_[i].values,
-                              [&](uint64_t v) { expand(row, v); });
+        if (jobs_[i].found) expand_all(i, jobs_[i].values);
       }
-    } else if (kiss != nullptr) {
+    } else {
       // Unbuffered point probes (joinbuffer size 1, the "none" setting).
       for (size_t i = 0; i < n; ++i) {
-        const uint64_t* row = rows->data() + i * width_;
         KissTree::ValueRef values;
-        if (!kiss->Lookup(IndexedTable::KissKeyOf(row[assist.probe_pos]),
-                          &values)) {
-          continue;
+        if (kiss->Lookup(IndexedTable::KissKeyOf(keys_[i]), &values)) {
+          expand_all(i, values);
         }
-        assist.side.ForEachIn(values, [&](uint64_t v) { expand(row, v); });
       }
-    } else if (buffer_rows_ > 1) {
-      // Prefix-tree assist, batched: the encoded probes walk the tree
-      // level-synchronously with software prefetching (§2.3,
-      // Algorithm 1), the same joinbuffer payoff the KISS probes get.
-      const PrefixTree* prefix = assist.side.prefix();
+    }
+  } else {
+    const PrefixTree* prefix = assist.side.prefix();
+    if (buffer_rows_ > 1) {
+      // Batched: the encoded probes walk the tree level-synchronously
+      // with software prefetching (§2.3, Algorithm 1).
       prefix_jobs_.clear();
       prefix_jobs_.resize(n);
       prefix_keys_.resize(n);
       for (size_t i = 0; i < n; ++i) {
-        const uint64_t* row = rows->data() + i * width_;
         prefix_keys_[i].clear();
-        prefix_keys_[i].AppendI64(Int64FromSlot(row[assist.probe_pos]));
+        prefix_keys_[i].AppendI64(Int64FromSlot(keys_[i]));
         prefix_jobs_[i].key = prefix_keys_[i].data();
       }
       prefix->BatchLookup(prefix_jobs_);
       for (size_t i = 0; i < n; ++i) {
         if (prefix_jobs_[i].result == nullptr) continue;
-        const uint64_t* row = rows->data() + i * width_;
-        assist.side.ForEachIn(
-            KissTree::ValueRef(prefix->ValuesOf(prefix_jobs_[i].result)),
-            [&](uint64_t v) { expand(row, v); });
+        expand_all(i, KissTree::ValueRef(
+                          prefix->ValuesOf(prefix_jobs_[i].result)));
       }
     } else {
-      // Prefix-tree assist: encoded single-attribute point probes.
-      const PrefixTree* prefix = assist.side.prefix();
+      // Encoded single-attribute point probes.
       KeyBuf key;
       for (size_t i = 0; i < n; ++i) {
-        const uint64_t* row = rows->data() + i * width_;
         key.clear();
-        key.AppendI64(Int64FromSlot(row[assist.probe_pos]));
+        key.AppendI64(Int64FromSlot(keys_[i]));
         const ValueList* values = prefix->Lookup(key.data());
-        if (values == nullptr) continue;
-        assist.side.ForEachIn(KissTree::ValueRef(values),
-                              [&](uint64_t v) { expand(row, v); });
+        if (values != nullptr) expand_all(i, KissTree::ValueRef(values));
       }
     }
-    rows->swap(next_stage_);
-    funnel_[a].rows_out += rows->size() / width_;
   }
-  materialize_ms_ += phase.ElapsedMs();
+  refs_.swap(next_);
+  return out;
+}
 
-  phase.Restart();
-  size_t n = rows->size() / width_;
-  inserted_rows_ += n;
+void CandidatePipeline::Fill(size_t n) {
+  if (rows_.size() < n * width_) rows_.resize(n * width_);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t* ref = refs_.data() + i * ref_width_;
+    uint64_t* row = rows_.data() + i * width_;
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      sources_[s].side->Fill(ref[s], row + sources_[s].row_offset);
+    }
+  }
+}
+
+void CandidatePipeline::Insert(size_t n) {
   const bool aggregating = !key_positions_.empty();
   for (size_t i = 0; i < n; ++i) {
-    const uint64_t* row = rows->data() + i * width_;
+    const uint64_t* row = rows_.data() + i * width_;
     if (aggregating) {
       for (size_t k = 0; k < key_positions_.size(); ++k) {
         key_slots_[k] = row[key_positions_[k]];
@@ -224,8 +307,6 @@ void CandidatePipeline::Process() {
       output_->Insert(row);
     }
   }
-  index_ms_ += phase.ElapsedMs();
-  candidates_.clear();
 }
 
 // ---- residual loops ----------------------------------------------------------
@@ -373,15 +454,16 @@ void SelectionScan::ScanOrdinals(ScanSink* sink, uint64_t begin,
   for (uint64_t first = begin; first < end; first += kBlock) {
     const size_t n = static_cast<size_t>(std::min<uint64_t>(kBlock, end - first));
     sink->cancel.Tick(static_cast<uint32_t>(n));
+    size_t k = n;
     if (loops_.empty()) {
-      for (size_t i = 0; i < n; ++i) Emit(sink, first + i);
-      continue;
+      for (size_t i = 0; i < n; ++i) sel[i] = first + i;
+    } else {
+      k = loops_[0].FilterRange(first, n, sel);
+      for (size_t r = 1; r < loops_.size() && k > 0; ++r) {
+        k = loops_[r].FilterSelection(sel, k);
+      }
     }
-    size_t k = loops_[0].FilterRange(first, n, sel);
-    for (size_t r = 1; r < loops_.size() && k > 0; ++r) {
-      k = loops_[r].FilterSelection(sel, k);
-    }
-    for (size_t i = 0; i < k; ++i) Emit(sink, sel[i]);
+    sink->pipeline.StageBlock(sel, k);
   }
 }
 

@@ -72,6 +72,21 @@ class BoundSide {
     }
   }
 
+  // Bound column `col` of the tuple behind index value `value`.
+  uint64_t Get(size_t col, uint64_t value) const {
+    return is_base() ? base_accessors_[col].Get(value)
+                     : inter_->Tuple(value)[inter_positions_[col]];
+  }
+  // Bound column `col` as a strided heap array on a clustered base index
+  // (value o's slot is heap_column(col)[o * heap_stride(col)]), else
+  // nullptr.
+  const uint64_t* heap_column(size_t col) const {
+    return is_base() ? base_accessors_[col].heap_column() : nullptr;
+  }
+  size_t heap_stride(size_t col) const {
+    return base_accessors_[col].heap_stride();
+  }
+
   uint64_t num_input_tuples() const {
     return is_base() ? base_->num_rows() : inter_->num_tuples();
   }
@@ -321,53 +336,119 @@ Result<std::vector<BoundAssist>> BindAssists(
     std::vector<ColumnDef>* defs);
 
 // What a CandidatePipeline is built from, apart from its output table:
+// the main sides whose index values the scan stages (one for a selection
+// or select-join, the left and right mains of a star join; their columns
+// lead the assembled row in this order and must outlive the pipeline),
 // the bound assists (none for a plain selection), the assembled row
 // width, the output key positions and the joinbuffer size.
 struct PipelineShape {
+  std::vector<const BoundSide*> mains;
   std::vector<BoundAssist> assists;
   size_t row_width = 0;
   std::vector<size_t> key_positions;  // empty = plain output
   size_t buffer_rows = 1;
 };
 
-// Stages assembled candidate rows, pushes them through the assist probe
-// pipeline in joinbuffer-sized batches (§2.3 batch lookups), and inserts
-// survivors into the output index (aggregating on insert when the output
+// The late-materialised candidate pipeline of the scan operators (§4.2
+// composed joins, §2.3 joinbuffer; the vector-at-a-time materialisation
+// of MonetDB/X100 over QPPT's indexes). A candidate is a short row of
+// index-value references, not an assembled tuple: the scan stages the
+// main sides' values (a heap ordinal or rid of the selection side, or a
+// star join's visible (left, right) pair), and every assist that carries
+// columns appends the value it matched. Candidates flow through the
+// assists in joinbuffer-sized batches: an assist reads each candidate's
+// probe key straight from the referenced side's bound column (a strided
+// heap read on a clustered base index), probes its index for the whole
+// batch (KissTree/PrefixTree::BatchLookup; a joinbuffer of 1 runs point
+// probes), drops misses and repeats a candidate once per visible
+// duplicate match. Only the candidates that pass the last assist are
+// assembled — main columns and every carry, BoundSide::Fill — and
+// inserted into the output index (aggregating on insert when the output
 // table aggregates).
 class CandidatePipeline {
  public:
   CandidatePipeline(const PipelineShape& shape, IndexedTable* output);
+  // Movable only: sources_ points into assists_.
+  CandidatePipeline(const CandidatePipeline&) = delete;
+  CandidatePipeline& operator=(const CandidatePipeline&) = delete;
+  CandidatePipeline(CandidatePipeline&&) = default;
 
-  // Reserves one zeroed assembled row; the caller fills the main-side
-  // columns, then calls MaybeProcess() (which may invalidate the pointer).
-  uint64_t* AddRow();
-  void MaybeProcess() {
-    if (candidates_.size() >= buffer_rows_ * width_) Process();
+  // Stages one candidate of a one-main pipeline.
+  void Stage(uint64_t value) {
+    refs_[count_ * ref_width_] = value;
+    if (++count_ == buffer_rows_) Process();
   }
-  // Flushes any staged rows. Call exactly once after the input scan.
+  // Stages one (left, right) candidate of a star join.
+  void Stage(uint64_t left, uint64_t right) {
+    uint64_t* ref = refs_.data() + count_ * ref_width_;
+    ref[0] = left;
+    ref[1] = right;
+    if (++count_ == buffer_rows_) Process();
+  }
+  // Stages the candidates values[0..n) of a one-main pipeline.
+  void StageBlock(const uint64_t* values, size_t n);
+  // Flushes any staged candidates. Call exactly once after the input
+  // scan.
   void Finish() { Process(); }
 
-  double materialize_ms() const { return materialize_ms_; }
+  // Assist probes plus fills: the sum of probe_ms over the assists and
+  // fill_ms.
+  double materialize_ms() const;
   double index_ms() const { return index_ms_; }
 
   // Adds this pipeline's funnel counts to `stats`.
   void AddFunnelTo(OperatorStats* stats) const;
+  // Sets the time split of `stats` (materialize_ms, fill_ms and each
+  // assist's probe_ms) to this pipeline's. Call after AddFunnelTo.
+  void SetTimesOn(OperatorStats* stats) const;
 
  private:
-  void Process();
+  // Where one reference slot's columns land in the assembled row.
+  struct Source {
+    const BoundSide* side;
+    size_t row_offset;
+  };
+  // An assist's probe key column and the slot its match goes to.
+  struct Probe {
+    size_t slot;      // reference slot of the side holding the key
+    size_t column;    // the key's column in that side
+    size_t out_slot;  // slot for the matched value; kNoSlot = semi-join
+  };
+  static constexpr size_t kNoSlot = ~size_t{0};
 
+  void Process();
+  // Runs assist a over the n candidates in refs_ and leaves its
+  // survivors there; returns how many there are.
+  size_t RunAssist(size_t a, size_t n);
+  // Gathers the probe keys of the n candidates in refs_ into keys_.
+  void GatherKeys(const Probe& probe, size_t n);
+  // Assembles the n candidates in refs_ into rows_.
+  void Fill(size_t n);
+  // Inserts the n rows of rows_ into the output.
+  void Insert(size_t n);
+
+  std::vector<Source> sources_;  // the mains, then carrying assists
   std::vector<BoundAssist> assists_;
+  std::vector<Probe> probes_;  // one per assist
+  size_t ref_width_ = 0;  // reference slots per candidate (sources_)
   size_t width_;
   IndexedTable* output_;
   std::vector<size_t> key_positions_;  // empty = plain output
   std::vector<uint64_t> key_slots_;
   size_t buffer_rows_;
-  std::vector<uint64_t> candidates_;
-  std::vector<uint64_t> next_stage_;
+  size_t count_ = 0;  // candidates staged
+  // The candidates of the current stage, ref_width_ slots each (the scan
+  // stages into it), and the next stage's, being expanded; both hold at
+  // least buffer_rows_ candidates.
+  std::vector<uint64_t> refs_;
+  std::vector<uint64_t> next_;
+  std::vector<uint64_t> keys_;  // one probe key per candidate
+  std::vector<uint64_t> rows_;  // assembled survivors, width_ slots each
   std::vector<KissTree::LookupJob> jobs_;
   std::vector<PrefixTree::LookupJob> prefix_jobs_;
   std::vector<KeyBuf> prefix_keys_;
-  double materialize_ms_ = 0;
+  std::vector<double> probe_ms_;  // one per assist
+  double fill_ms_ = 0;
   double index_ms_ = 0;
   uint64_t candidate_rows_ = 0;
   std::vector<AssistFunnel> funnel_;  // one per assist
@@ -393,13 +474,14 @@ struct alignas(64) ScanSink {
   CandidatePipeline pipeline;
   CancelTicker cancel;
   // Wall time of this worker's scan loops (key matching, residual loops,
-  // fills), pipeline work excluded — see ScanTimer.
+  // staging), pipeline work excluded — see ScanTimer.
   double scan_ms = 0;
 };
 
 // Adds the wall time of its scope to sink->scan_ms, minus the time the
-// sink's candidate pipeline (assist probes, output inserts) spent inside
-// it, so scan_ms, materialize_ms and index_ms add up without overlap.
+// sink's candidate pipeline (assist probes, fills, output inserts) spent
+// inside it, so scan_ms, materialize_ms and index_ms add up without
+// overlap.
 class ScanTimer {
  public:
   explicit ScanTimer(ScanSink* sink)
@@ -434,8 +516,10 @@ class ScanTimer {
 // morsel and merge shard. Fills the scan fields of `stats`: morsels,
 // scan_ms (added to what the operator already put there),
 // materialize_ms and index_ms (each of the slowest worker — the critical
-// path, comparable to total_ms), merge_ms and merge_morsels, and the
-// candidate funnel summed over the workers.
+// path, comparable to total_ms; fill_ms and the assists' probe_ms come
+// from the worker with the largest materialize_ms, so they add up to
+// it), merge_ms and merge_morsels, and the candidate funnel counts
+// summed over the workers.
 template <typename Scan>
 void RunScan(const ExecContext& ctx, const std::string& label,
              const PipelineShape& shape, uint64_t split_tuples,
@@ -443,14 +527,18 @@ void RunScan(const ExecContext& ctx, const std::string& label,
   std::vector<ScanSink> sinks;
   auto finish = [&] {
     double scan_ms = 0;
+    const CandidatePipeline* slowest = nullptr;
     for (ScanSink& sink : sinks) {
       sink.pipeline.Finish();
       scan_ms = std::max(scan_ms, sink.scan_ms);
-      stats->materialize_ms =
-          std::max(stats->materialize_ms, sink.pipeline.materialize_ms());
+      if (slowest == nullptr ||
+          sink.pipeline.materialize_ms() > slowest->materialize_ms()) {
+        slowest = &sink.pipeline;
+      }
       stats->index_ms = std::max(stats->index_ms, sink.pipeline.index_ms());
       sink.pipeline.AddFunnelTo(stats);
     }
+    slowest->SetTimesOn(stats);
     stats->scan_ms += scan_ms;
   };
   if (ctx.worker_pool() == nullptr || ctx.knobs().threads <= 1 ||
@@ -474,9 +562,9 @@ void RunScan(const ExecContext& ctx, const std::string& label,
   stats->merge_ms = merge.ElapsedMs();
 }
 
-// Stages index value `value` of `side` into `sink` as a candidate row
-// if it is visible at the query snapshot and passes `residuals` (the
-// per-value selection path; the caller ticks).
+// Stages index value `value` of `side` into `sink` as a candidate if it
+// is visible at the query snapshot and passes `residuals` (the per-value
+// selection path; the caller ticks).
 inline void StageIfQualifies(const BoundSide& side,
                              const std::vector<BoundResidual>& residuals,
                              ScanSink* sink, uint64_t value) {
@@ -484,26 +572,27 @@ inline void StageIfQualifies(const BoundSide& side,
   for (const auto& r : residuals) {
     if (!r.Eval(value)) return;
   }
-  uint64_t* row = sink->pipeline.AddRow();
-  side.Fill(value, row);
-  sink->pipeline.MaybeProcess();
+  sink->pipeline.Stage(value);
 }
 
 // The selection scan of a base index, shared by SelectionOp and
 // SelectJoinOp (§4.1, §4.3): each value matching the key predicate that
-// is visible at the query snapshot and passes the residuals becomes a
-// candidate row holding `side`'s columns. Pass the object itself to
-// RunScan as the scan, with split_tuples() as its split size. At
-// construction the key predicate resolves to items of an
-// engine::SliceMap, one unit per qualifying index value; a parallel run
-// cuts them into fixed-size slices (engine::RunSliceMorsels).
+// is visible at the query snapshot and passes the residuals is staged
+// into the candidate pipeline as a reference (its heap ordinal or rid);
+// `side`'s columns are filled only for the candidates that pass the
+// pipeline's last assist. Pass the object itself to RunScan as the scan,
+// with split_tuples() as its split size. At construction the key
+// predicate resolves to items of an engine::SliceMap, one unit per
+// qualifying index value; a parallel run cuts them into fixed-size
+// slices (engine::RunSliceMorsels).
 //
 // On a clustered index the items are ordinal runs of the heap (adjacent
 // runs coalesce, so a range is one run). The scan walks them kBlock
 // ordinals at a time: every residual runs as one ResidualLoop over its
-// heap column, narrowing a selection vector, and only the survivors are
-// filled into the pipeline. A slice may cut a run anywhere. Live indexes
-// are never clustered, so these slices need no MVCC filter.
+// heap column, narrowing a selection vector, and the surviving ordinals
+// go to the pipeline in one StageBlock call. A slice may cut a run
+// anywhere. Live indexes are never clustered, so these slices need no
+// MVCC filter.
 //
 // Secondary and live indexes keep the per-value path: the items are the
 // matching keys' tree entries, each value goes through StageIfQualifies,
@@ -527,14 +616,9 @@ class SelectionScan {
                     std::vector<ScanSink>& sinks) const;
 
  private:
-  void Emit(ScanSink* sink, uint64_t value) const {
-    uint64_t* row = sink->pipeline.AddRow();
-    side_.Fill(value, row);
-    sink->pipeline.MaybeProcess();
-  }
   // Scans the units [begin, end) of slices_.
   void ScanUnits(ScanSink* sink, uint64_t begin, uint64_t end) const;
-  // Filters and fills the heap ordinals [begin, end).
+  // Filters the heap ordinals [begin, end) and stages the survivors.
   void ScanOrdinals(ScanSink* sink, uint64_t begin, uint64_t end) const;
 
   const BoundSide& side_;

@@ -31,6 +31,7 @@ Status SelectJoinOp::Execute(ExecContext* ctx) {
   // alloc-exempt: O(columns) schema copy, once per operator bind.
   std::vector<ColumnDef> defs = left.column_defs();
   PipelineShape shape;
+  shape.mains = {&left};
   QPPT_ASSIGN_OR_RETURN(shape.assists, BindAssists(*ctx, all_assists, &defs));
   Schema assembled(std::move(defs));
   shape.row_width = assembled.num_columns();

@@ -26,6 +26,7 @@ Status SelectionOp::Execute(ExecContext* ctx) {
   // A selection is a select-join without assists: qualifying tuples
   // stream through an assist-free candidate pipeline into the output.
   PipelineShape shape;
+  shape.mains = {&side};
   shape.row_width = side.num_columns();
   shape.buffer_rows = ctx->knobs().join_buffer_size;
   if (!spec_.output.agg.empty()) {

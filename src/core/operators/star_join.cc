@@ -104,12 +104,12 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   defs.insert(defs.end(), right.column_defs().begin(),
               right.column_defs().end());
   PipelineShape shape;
+  shape.mains = {&left, &right};
   QPPT_ASSIGN_OR_RETURN(shape.assists,
                         BindAssists(*ctx, spec_.assists, &defs));
   Schema assembled(std::move(defs));
   shape.row_width = assembled.num_columns();
   shape.buffer_rows = ctx->knobs().join_buffer_size;
-  const size_t left_width = left.num_columns();
 
   QPPT_ASSIGN_OR_RETURN(
       auto output,
@@ -128,8 +128,9 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   // hold (serial; it skips every subtree one side lacks), then the
   // emission pass expands each match into the cross product of its two
   // value sets (nested loop over the duplicate lists, §4.2) and streams
-  // it through the candidate pipeline. Emission is the bulk of the work
-  // and the part that splits: each match is worth its l x r pairs
+  // the (left, right) value pairs through the candidate pipeline.
+  // Emission is the bulk of the work and the part that splits: each
+  // match is worth its l x r pairs
   // (engine::SliceMap), and morsels are fixed-size slices of those
   // pairs. The *split side* is the clustered base main with more rows
   // (the fact index): a match is cut at each of its split-side
@@ -154,15 +155,13 @@ Status StarJoinOp::Execute(ExecContext* ctx) {
   }
   stats.scan_ms = resolve.ElapsedMs();
 
-  // Every pair ticks its sink's cancel poll.
+  // Every pair ticks its sink's cancel poll; a visible pair is staged as
+  // a candidate (its columns are filled only if it survives the assists).
   auto emit_pair = [&](ScanSink* sink, uint64_t l, uint64_t r) {
     sink->cancel.Tick();
     // MVCC snapshot filter: no-op branches for non-versioned sides.
     if (!left.Visible(l) || !right.Visible(r)) return;
-    uint64_t* row = sink->pipeline.AddRow();
-    left.Fill(l, row);
-    right.Fill(r, row + left_width);
-    sink->pipeline.MaybeProcess();
+    sink->pipeline.Stage(l, r);
   };
   // Emits the pairs [begin, end) of the slice map into `sink`.
   auto emit_units = [&](ScanSink* sink, uint64_t begin, uint64_t end) {

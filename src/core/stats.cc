@@ -15,6 +15,22 @@ std::string OperatorStats::FunnelString() const {
   return out;
 }
 
+std::string OperatorStats::FunnelTimesString() const {
+  if (candidate_rows == 0 && inserted_rows == 0) return "";
+  std::string out;
+  char ms[32];
+  if (!funnel.empty()) {
+    out = "probe_ms";
+    for (const AssistFunnel& stage : funnel) {
+      std::snprintf(ms, sizeof(ms), " %.3f", stage.probe_ms);
+      out += " " + stage.index + ms;
+    }
+    out += "; ";
+  }
+  std::snprintf(ms, sizeof(ms), "fill_ms %.3f", fill_ms);
+  return out + ms;
+}
+
 std::string PlanStats::ToString() const {
   std::string out;
   char line[256];
@@ -40,7 +56,9 @@ std::string PlanStats::ToString() const {
       out += "\n";
     }
     const std::string funnel = op.FunnelString();
-    if (!funnel.empty()) out += "    funnel: " + funnel + "\n";
+    if (!funnel.empty()) {
+      out += "    funnel: " + funnel + "; " + op.FunnelTimesString() + "\n";
+    }
   }
   std::snprintf(line, sizeof(line),
                 "%-28s %9.2f  (wall %.2f ms, %zu thread%s, %llu morsels, "

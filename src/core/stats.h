@@ -35,11 +35,12 @@ class Timer {
 };
 
 // Rows entering and surviving one assist probe of a scan operator's
-// candidate pipeline (§4.2).
+// candidate pipeline (§4.2), and the time the probe took.
 struct AssistFunnel {
   std::string index;  // the assisting index or slot
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
+  double probe_ms = 0;  // key gather, lookups and expansion
 };
 
 struct OperatorStats {
@@ -47,9 +48,12 @@ struct OperatorStats {
   std::string output_desc;       // e.g. "kiss(orderdate) 1.2M tuples"
   double total_ms = 0;
   double scan_ms = 0;            // a scan operator's input scan: key
-                                 // matching, residual loops and fills
+                                 // matching, residual loops and staging
                                  // (slowest worker), pipeline excluded
-  double materialize_ms = 0;     // gathering/assembling tuples
+  double materialize_ms = 0;     // gathering/assembling tuples: a scan
+                                 // operator's assist probes plus fill_ms
+  double fill_ms = 0;            // assembling the rows that survive the
+                                 // last assist (tuple reconstruction)
   double index_ms = 0;           // building the output index
   double merge_ms = 0;           // folding per-worker partial outputs into
                                  // the final table — covers plain tuple
@@ -72,9 +76,16 @@ struct OperatorStats {
   std::vector<AssistFunnel> funnel;
   uint64_t inserted_rows = 0;
 
+  // The time split is of one worker, the one with the largest
+  // materialize_ms: each assist's probe_ms plus fill_ms is its
+  // materialize_ms.
+  //
   // "1195912 -> supp_sel 232339 -> part_sel 92790 -> 92790 inserted";
   // empty for operators without a candidate pipeline.
   std::string FunnelString() const;
+  // "probe_ms supp_sel 3.100 part_sel 2.000; fill_ms 1.200"; empty when
+  // FunnelString() is.
+  std::string FunnelTimesString() const;
 };
 
 struct PlanStats {

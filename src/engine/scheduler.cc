@@ -59,11 +59,17 @@ void MorselTuner::RecordBatch(std::vector<double>* morsel_ms) {
   std::sort(morsel_ms->begin(), morsel_ms->end());
   double median = (*morsel_ms)[morsel_ms->size() / 2];
   double max = morsel_ms->back();
+  const bool skewed = max > kSkewFactor * median && max > kMinMorselMs;
   dbg::RankedLockGuard lock(dbg::LockRank::kMorselTuner, mu_);
-  if (max > kSkewFactor * median && max > kMinMorselMs) {
+  const bool was_skewed = last_skewed_;
+  last_skewed_ = skewed;
+  if (skewed) {
     // One shard dominated the fork-join: split finer so the straggler's
-    // key range lands in several steal-able morsels next batch.
-    if (per_worker_ < kMaxPerWorker) {
+    // key range lands in several steal-able morsels next batch — but
+    // only when the previous batch was skewed too. The splitters cut
+    // equal-size slices, so one skewed batch is as likely a preempted
+    // worker as an uneven split.
+    if (was_skewed && per_worker_ < kMaxPerWorker) {
       per_worker_ *= 2;
       ++refines_;
       refines_total->Add();

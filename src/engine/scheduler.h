@@ -59,7 +59,7 @@ class MorselTuner {
   static constexpr size_t kBasePerWorker = 8;
   static constexpr size_t kMinPerWorker = 2;
   static constexpr size_t kMaxPerWorker = 64;
-  // Re-split when max > kSkewFactor * median.
+  // Re-split when max > kSkewFactor * median in two batches in a row.
   static constexpr double kSkewFactor = 2.0;
   // Coarsen when the median morsel is shorter than this (scheduling
   // overhead territory).
@@ -91,6 +91,7 @@ class MorselTuner {
  private:
   mutable std::mutex mu_;
   size_t per_worker_ = kBasePerWorker;
+  bool last_skewed_ = false;  // the previous batch met the skew rule
   size_t refines_ = 0;   // skew-triggered finer splits
   size_t coarsens_ = 0;  // overhead-triggered coarser splits
 };

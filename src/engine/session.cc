@@ -698,7 +698,9 @@ Result<std::string> EngineRunner::ExplainAnalyze(const Database& db,
       out += buf;
     }
     const std::string funnel = op.FunnelString();
-    if (!funnel.empty()) out += " | funnel " + funnel;
+    if (!funnel.empty()) {
+      out += " | funnel " + funnel + "; " + op.FunnelTimesString();
+    }
     out += "\n";
   }
   std::snprintf(buf, sizeof(buf),

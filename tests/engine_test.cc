@@ -637,6 +637,33 @@ TEST(MorselTunerTest, RefinesOnSkewUpToTheClamp) {
   EXPECT_EQ(tuner.MorselTarget(4), 4 * engine::MorselTuner::kMaxPerWorker);
 }
 
+// One skewed batch is noise (a preempted worker): the split only
+// refines when the site's previous batch was skewed too.
+TEST(MorselTunerTest, RefinesOnlyOnTwoSkewedBatchesInARow) {
+  engine::MorselTuner tuner;
+  const size_t base = engine::MorselTuner::kBasePerWorker;
+  auto balanced = [] { return std::vector<double>{1.0, 1.1, 0.9, 1.0}; };
+  auto skewed = [] { return std::vector<double>{1.0, 1.0, 1.0, 1.0, 10.0}; };
+  for (int round = 0; round < 3; ++round) {
+    std::vector<double> b = balanced();
+    tuner.RecordBatch(&b);
+    std::vector<double> s = skewed();
+    tuner.RecordBatch(&s);
+  }
+  std::vector<double> b = balanced();
+  tuner.RecordBatch(&b);
+  EXPECT_EQ(tuner.per_worker(), base);
+  EXPECT_EQ(tuner.refines(), 0u);
+
+  std::vector<double> first = skewed();
+  tuner.RecordBatch(&first);
+  EXPECT_EQ(tuner.per_worker(), base);
+  std::vector<double> second = skewed();
+  tuner.RecordBatch(&second);
+  EXPECT_EQ(tuner.per_worker(), 2 * base);
+  EXPECT_EQ(tuner.refines(), 1u);
+}
+
 TEST(MorselTunerTest, CoarsensOnTinyUniformMorsels) {
   engine::MorselTuner tuner;
   for (int round = 0; round < 10; ++round) {

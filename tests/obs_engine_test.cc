@@ -264,5 +264,63 @@ TEST(CandidateFunnelTest, Q41FunnelChainsAndMatchesAcrossThreads) {
   }
 }
 
+// The time split of every Q4.1 scan operator adds up: its assists'
+// probe_ms plus fill_ms is its materialize_ms (all of one worker, the
+// one with the largest materialize_ms), and none is negative. ToString
+// and ExplainAnalyze print the split on the funnel line.
+TEST(CandidateFunnelTest, Q41ProbeAndFillTimesSumToMaterialize) {
+  for (bool kiss : {true, false}) {
+    SCOPED_TRACE(kiss ? "kiss" : "prefix");
+    SsbConfig cfg;
+    cfg.scale_factor = 0.01;
+    cfg.seed = 11;
+    cfg.prefer_kiss = kiss;
+    auto data = Generate(cfg);
+    ASSERT_TRUE(data.ok()) << data.status();
+    PlanKnobs knobs;
+    knobs.table_options.prefer_kiss = kiss;
+    for (size_t threads : {size_t{1}, size_t{4}}) {
+      SCOPED_TRACE("threads " + std::to_string(threads));
+      engine::EngineConfig ecfg;
+      ecfg.threads = threads;
+      ecfg.clamp_threads_to_hardware = false;
+      engine::EngineRunner runner(ecfg);
+      PlanStats stats;
+      auto result = RunQppt(runner, **data, "4.1", knobs, &stats);
+      ASSERT_TRUE(result.ok()) << result.status();
+      const OperatorStats* star = nullptr;
+      for (const OperatorStats& op : stats.operators) {
+        SCOPED_TRACE(op.name);
+        double parts = op.fill_ms;
+        EXPECT_GE(op.fill_ms, 0.0);
+        for (const AssistFunnel& stage : op.funnel) {
+          EXPECT_GE(stage.probe_ms, 0.0) << stage.index;
+          parts += stage.probe_ms;
+        }
+        EXPECT_GE(op.materialize_ms, 0.0);
+        EXPECT_NEAR(parts, op.materialize_ms, 1e-6);
+        if (op.funnel.size() >= 2) star = &op;
+      }
+      ASSERT_NE(star, nullptr) << stats.ToString();
+      EXPECT_GT(star->materialize_ms, 0.0);
+      EXPECT_NE(stats.ToString().find(star->FunnelTimesString()),
+                std::string::npos)
+          << stats.ToString();
+      EXPECT_NE(star->FunnelTimesString().find("fill_ms"), std::string::npos);
+      EXPECT_NE(star->FunnelTimesString().find(
+                    "probe_ms " + star->funnel[0].index),
+                std::string::npos)
+          << star->FunnelTimesString();
+    }
+    engine::EngineRunner runner(engine::EngineConfig{});
+    auto spec = BuildQuerySpec(**data, "4.1");
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    auto analyze = runner.ExplainAnalyze((*data)->db, *spec, knobs);
+    ASSERT_TRUE(analyze.ok()) << analyze.status();
+    EXPECT_NE(analyze->find("; probe_ms "), std::string::npos) << *analyze;
+    EXPECT_NE(analyze->find(" fill_ms "), std::string::npos) << *analyze;
+  }
+}
+
 }  // namespace
 }  // namespace qppt::ssb
